@@ -527,8 +527,22 @@ int Main(int argc, char** argv) {
     keep_best(shard2_obs, RunParallelOnce(fx, shape, trace, 2, true), i);
   }
 
+  // The pipelined-vs-serial gate compares two runs of ~20 ms each. One
+  // run per side (--iters 1, the CI setting) read anywhere from 0.54 to
+  // 1.27 on one 4-vCPU box, so both sides of the gate are best-of at
+  // least kGateRuns interleaved runs whatever --iters says (at 5 the
+  // ratio stayed within 0.73-0.83 there). The reported rates keep
+  // their --iters best-of.
+  constexpr size_t kGateRuns = 5;
+  RunStats gate_serial = serial, gate_pipelined = shard1;
+  for (size_t i = iters; i < kGateRuns; ++i) {
+    keep_best(gate_serial, RunSerialOnce(fx, shape, trace), i);
+    keep_best(gate_pipelined, RunParallelOnce(fx, shape, trace, 1), i);
+  }
+
   PUNCTSAFE_CHECK(shard1.results == serial.results &&
-                  shard2.results == serial.results)
+                  shard2.results == serial.results &&
+                  gate_pipelined.results == gate_serial.results)
       << "executors disagree: serial=" << serial.results
       << " shard1=" << shard1.results << " shard2=" << shard2.results;
   PUNCTSAFE_CHECK(serial_obs.results == serial.results &&
@@ -634,6 +648,13 @@ int Main(int argc, char** argv) {
                     ? shard2.seconds / shard2_obs.seconds
                     : 0.0);
   json << buf;
+  // What the pipelined-vs-serial gate compares (best-of kGateRuns).
+  const double gate_ratio = gate_pipelined.seconds > 0
+                                ? gate_serial.seconds / gate_pipelined.seconds
+                                : 0.0;
+  std::snprintf(buf, sizeof(buf), "  \"gate_pipelined_vs_serial\": %.3f,\n",
+                gate_ratio);
+  json << buf;
   std::snprintf(buf, sizeof(buf), "  \"results\": %llu,\n",
                 static_cast<unsigned long long>(serial.results));
   json << buf;
@@ -672,10 +693,8 @@ int Main(int argc, char** argv) {
     }
     // Parallel-vs-serial throughput only means something with real
     // cores behind it; on hardware_threads == 1 the gate self-skips.
-    if (!bench::CheckParallelSpeedup(
-            "hot_path pipelined-vs-serial",
-            shard1.seconds > 0 ? serial.seconds / shard1.seconds : 0.0,
-            0.5)) {
+    if (!bench::CheckParallelSpeedup("hot_path pipelined-vs-serial",
+                                     gate_ratio, 0.5)) {
       return 1;
     }
   }

@@ -221,6 +221,11 @@ struct OperatorMetricsSnapshot {
   uint64_t removability_checks = 0;
   size_t punctuations_live = 0;
   size_t punctuations_high_water = 0;
+  // Local work counters (see OperatorMetrics): exported, never
+  // checkpointed.
+  uint64_t removability_aborts = 0;
+  uint64_t propagation_checks = 0;
+  uint64_t retirement_checks = 0;
 };
 
 /// \brief Per-operator accounting (atomic; see file comment).
@@ -234,6 +239,16 @@ struct OperatorMetrics {
   std::atomic<uint64_t> removability_checks{0};
   std::atomic<size_t> punctuations_live{0};
   std::atomic<size_t> punctuations_high_water{0};
+  /// Local work counters of the punctuation path. They describe this
+  /// operator instance's work, not logical state: the PSCK checkpoint
+  /// format does not carry them and RestoreFrom leaves them alone.
+  /// Removability checks abandoned because the joinable set outgrew
+  /// MJoinConfig::max_joinable_set (tuple conservatively kept).
+  std::atomic<uint64_t> removability_aborts{0};
+  /// Pending-propagation blocked tests (one probe of the input state).
+  std::atomic<uint64_t> propagation_checks{0};
+  /// Stored-punctuation retirement tests (Section 5.1 purgeability).
+  std::atomic<uint64_t> retirement_checks{0};
 
   /// \brief Records the current live-punctuation count and folds it
   /// into the high-water mark.
@@ -279,6 +294,10 @@ struct OperatorMetrics {
     s.punctuations_live = punctuations_live.load(std::memory_order_relaxed);
     s.punctuations_high_water =
         punctuations_high_water.load(std::memory_order_relaxed);
+    s.removability_aborts =
+        removability_aborts.load(std::memory_order_relaxed);
+    s.propagation_checks = propagation_checks.load(std::memory_order_relaxed);
+    s.retirement_checks = retirement_checks.load(std::memory_order_relaxed);
     return s;
   }
 };

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_set>
 
-#include "exec/simd.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -33,26 +31,15 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
     }
   }
 
+  Result<PurgeKernel> kernel =
+      PurgeKernel::Create(query, inputs, config.max_joinable_set);
+  if (!kernel.ok()) return kernel.status();
   auto op = std::unique_ptr<MJoinOperator>(new MJoinOperator());
   op->config_ = config;
   op->inputs_ = std::move(inputs);
+  op->kernel_ = std::move(kernel).ValueOrDie();
+  const PurgeKernel& layout = op->kernel_;
   const size_t m = op->inputs_.size();
-
-  // Composite layouts: per input, (stream, attr) -> offset.
-  op->widths_.resize(m);
-  op->offset_keys_.resize(m);
-  op->offset_values_.resize(m);
-  for (size_t k = 0; k < m; ++k) {
-    size_t offset = 0;
-    for (size_t s : op->inputs_[k].streams) {
-      for (size_t a = 0; a < query.schema(s).num_attributes(); ++a) {
-        op->offset_keys_[k].push_back({s, a});
-        op->offset_values_[k].push_back(offset + a);
-      }
-      offset += query.schema(s).num_attributes();
-    }
-    op->widths_[k] = offset;
-  }
 
   // Output layout: covered streams ascending; copy plan per stream.
   for (size_t s = 0; s < query.num_streams(); ++s) {
@@ -81,32 +68,6 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
   }
   op->output_width_ = out;
 
-  // Localized predicates + per-input join offsets for indexing.
-  constexpr size_t kOutside = static_cast<size_t>(-1);
-  std::vector<size_t> input_of(query.num_streams(), kOutside);
-  for (size_t k = 0; k < m; ++k) {
-    for (size_t s : op->inputs_[k].streams) input_of[s] = k;
-  }
-  std::vector<std::vector<size_t>> indexed(m);
-  for (const ResolvedPredicate& p : query.predicates()) {
-    size_t ia = input_of[p.left_stream];
-    size_t ib = input_of[p.right_stream];
-    if (ia == kOutside || ib == kOutside || ia == ib) continue;
-    LocalPredicate lp;
-    lp.input_a = ia;
-    lp.offset_a = op->OffsetOf(ia, p.left_stream, p.left_attr);
-    lp.input_b = ib;
-    lp.offset_b = op->OffsetOf(ib, p.right_stream, p.right_attr);
-    indexed[ia].push_back(lp.offset_a);
-    indexed[ib].push_back(lp.offset_b);
-    op->predicates_.push_back(lp);
-  }
-  op->predicates_of_input_.resize(m);
-  for (size_t i = 0; i < op->predicates_.size(); ++i) {
-    op->predicates_of_input_[op->predicates_[i].input_a].push_back(i);
-    op->predicates_of_input_[op->predicates_[i].input_b].push_back(i);
-  }
-
   // Expansion orders, one per arrival input: BFS over the predicate
   // graph from the input, then any unreached inputs (cross-product
   // components). Depends only on the graph, so computed once here.
@@ -120,9 +81,8 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
       size_t u = queue.front();
       queue.pop_front();
       order.push_back(u);
-      for (size_t pi : op->predicates_of_input_[u]) {
-        const LocalPredicate& p = op->predicates_[pi];
-        size_t v = (p.input_a == u) ? p.input_b : p.input_a;
+      for (size_t pi : layout.predicates_of_input(u)) {
+        size_t v = layout.predicates()[pi].Other(u);
         if (!seen[v]) {
           seen[v] = true;
           queue.push_back(v);
@@ -134,71 +94,71 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
     }
   }
 
-  // Stores.
+  // Stores, bound to the kernel.
+  std::vector<const TupleStore*> states;
+  std::vector<const PunctuationStore*> puncts;
   for (size_t k = 0; k < m; ++k) {
-    std::sort(indexed[k].begin(), indexed[k].end());
-    indexed[k].erase(std::unique(indexed[k].begin(), indexed[k].end()),
-                     indexed[k].end());
     op->states_.push_back(std::make_unique<TupleStore>(
-        indexed[k], TupleStoreOptions{.arena = config.arena}));
+        layout.IndexedOffsets(k), TupleStoreOptions{.arena = config.arena}));
     op->punct_stores_.push_back(
         std::make_unique<PunctuationStore>(config.punctuation_lifespan));
+    states.push_back(op->states_.back().get());
+    puncts.push_back(op->punct_stores_.back().get());
+    if (layout.purgeable(k)) op->purgeable_mask_ |= uint64_t{1} << k;
   }
-
-  // All generalized edges from the operator-local graph, localized to
-  // composite offsets; removability checks run a fixpoint over them.
-  std::vector<LocalGpgEdge> edges = BuildLocalEdges(query, op->inputs_);
-  for (const LocalGpgEdge& e : edges) {
-    RuntimeEdge edge;
-    edge.target_input = e.target_input;
-    edge.source_inputs = e.source_inputs;
-    for (const LocalGpgEdge::Binding& b : e.bindings) {
-      edge.target_offsets.push_back(op->OffsetOf(
-          e.target_input, e.scheme.origin_stream, b.target_attr));
-      edge.sources.push_back(
-          {b.source_input,
-           op->OffsetOf(b.source_input, b.source_stream, b.source_attr)});
-    }
-    op->runtime_edges_.push_back(std::move(edge));
-  }
-  op->input_purgeable_.resize(m);
-  for (size_t k = 0; k < m; ++k) {
-    op->input_purgeable_[k] = LocalInputPurgeable(k, m, edges);
-  }
+  op->kernel_.Attach(std::move(states), std::move(puncts));
 
   // Propagatable scheme signatures (inputs with purgeable state only).
   op->propagatable_signatures_.resize(m);
   for (size_t k = 0; k < m; ++k) {
-    if (!op->input_purgeable_[k]) continue;
+    if (!layout.purgeable(k)) continue;
     for (const AvailableScheme& scheme : op->inputs_[k].schemes) {
       std::vector<size_t> signature;
       for (size_t attr : scheme.attrs) {
-        signature.push_back(op->OffsetOf(k, scheme.origin_stream, attr));
+        signature.push_back(layout.OffsetOf(k, scheme.origin_stream, attr));
       }
       std::sort(signature.begin(), signature.end());
       op->propagatable_signatures_[k].push_back(std::move(signature));
     }
   }
+  op->swept_slot_end_.assign(m, 0);
+  op->marks_.resize(m);
+  op->candidates_.resize(m);
+  op->carried_.resize(m);
   return op;
 }
 
-size_t MJoinOperator::OffsetOf(size_t input, size_t stream,
-                               size_t attr) const {
-  for (size_t i = 0; i < offset_keys_[input].size(); ++i) {
-    if (offset_keys_[input][i] == std::make_pair(stream, attr)) {
-      return offset_values_[input][i];
-    }
+namespace {
+
+constexpr uint64_t Bit(size_t k) { return uint64_t{1} << k; }
+
+// True iff p's constrained attributes are exactly `signature` (sorted).
+bool HasSignature(const Punctuation& p, const std::vector<size_t>& signature) {
+  size_t constrained = 0;
+  for (size_t a = 0; a < p.arity(); ++a) {
+    if (!p.pattern(a).is_wildcard()) ++constrained;
   }
-  PUNCTSAFE_LOG(Fatal) << "attribute (" << stream << "," << attr
-                       << ") not covered by input " << input;
-  return 0;
+  if (constrained != signature.size()) return false;
+  return std::all_of(signature.begin(), signature.end(), [&](size_t a) {
+    return a < p.arity() && !p.pattern(a).is_wildcard();
+  });
 }
+
+// Slot of a walk key in the visited-key table (before masking).
+size_t KeySlotHash(size_t input, size_t offset, const Value& value) {
+  uint64_t x = static_cast<uint64_t>(value.Hash()) ^ (input << 48) ^
+               (offset << 32);
+  x *= 0xFF51AFD7ED558CCDull;
+  return static_cast<size_t>(x ^ (x >> 33));
+}
+
+}  // namespace
 
 void MJoinOperator::PushTuple(size_t input, const Tuple& tuple, int64_t ts) {
   PUNCTSAFE_CHECK(input < num_inputs());
-  PUNCTSAFE_CHECK(tuple.size() == widths_[input])
+  PUNCTSAFE_CHECK(tuple.size() == kernel_.width(input))
       << "tuple arity " << tuple.size() << " != input width "
-      << widths_[input];
+      << kernel_.width(input);
   if (obs::kCompiled && obs_ != nullptr) obs_->NoteTupleTs(ts);
 
   if (config_.drop_excluded_arrivals &&
@@ -217,27 +177,25 @@ void MJoinOperator::PushTuple(size_t input, const Tuple& tuple, int64_t ts) {
   // Under the eager policy, test the chained purge plan before
   // storing: if the stores already close every continuation, the
   // tuple never occupies state.
-  const bool drop = config_.purge_policy == PurgePolicy::kEager &&
-                    Removable(input, tuple, ts);
+  if (config_.purge_policy == PurgePolicy::kEager) {
+    StoreChecked(input, tuple, ts);
+  } else {
+    states_[input]->Insert(tuple);
+  }
   // Any scratch-capacity growth across this push is one expansion
   // allocation event; steady state stays pinned at zero.
   if (ExpandScratchCapacity() > scratch_before) {
     states_[input]->CountExpandAllocs(1);
   }
-  if (drop) {
-    states_[input]->CountDroppedArrival();
-    return;
-  }
-  states_[input]->Insert(tuple);
 }
 
 void MJoinOperator::PushBatch(size_t input, TupleBatch& batch) {
   PUNCTSAFE_CHECK(input < num_inputs());
   if (batch.empty()) return;
   for (size_t i = 0; i < batch.size(); ++i) {
-    PUNCTSAFE_CHECK(batch.tuple(i).size() == widths_[input])
+    PUNCTSAFE_CHECK(batch.tuple(i).size() == kernel_.width(input))
         << "tuple arity " << batch.tuple(i).size() << " != input width "
-        << widths_[input];
+        << kernel_.width(input);
   }
   if (obs::kCompiled && obs_ != nullptr) {
     // One watermark fold per batch (NoteTupleTs is an atomic max, so
@@ -273,12 +231,12 @@ void MJoinOperator::PushBatch(size_t input, TupleBatch& batch) {
   // emission sequence matches a per-row ProduceResults loop exactly.
   const size_t scratch_before = ExpandScratchCapacity();
   const std::vector<size_t>& order = expand_orders_[input];
-  BatchFrontier* cur = &expand_bufs_[0];
-  BatchFrontier* nxt = &expand_bufs_[1];
+  BatchFrontier* cur = kernel_.frontier(0);
+  BatchFrontier* nxt = kernel_.frontier(1);
   cur->Reset(num_inputs());
   cur->SeedFromBatch(batch, input);
   for (size_t idx = 1; idx < order.size() && !cur->empty(); ++idx) {
-    Expand(order[idx], *cur, nxt);
+    kernel_.Expand(order[idx], *cur, nxt);
     std::swap(cur, nxt);
   }
   EmitFrontier(*cur, &batch, 0);
@@ -292,196 +250,60 @@ void MJoinOperator::PushBatch(size_t input, TupleBatch& batch) {
   // per-row order.
   const bool check_removable =
       config_.purge_policy == PurgePolicy::kEager &&
-      input_purgeable_[input] && TotalLivePunctuations() > 0;
+      kernel_.purgeable(input) && TotalLivePunctuations() > 0;
   if (check_removable) {
     for (uint32_t row : batch.selection()) {
-      if (Removable(input, batch.tuple(row), batch.timestamp(row))) {
-        states_[input]->CountDroppedArrival();
-      } else {
-        states_[input]->Insert(batch.tuple(row));
-      }
+      StoreChecked(input, batch.tuple(row), batch.timestamp(row));
     }
   } else {
     states_[input]->InsertBatch(batch);
+    if (config_.punctuation_lifespan.has_value()) {
+      unswept_insert_max_ts_ =
+          std::max(unswept_insert_max_ts_, batch.max_timestamp());
+    }
   }
   if (ExpandScratchCapacity() > scratch_before) {
     states_[input]->CountExpandAllocs(1);
   }
 }
 
+void MJoinOperator::StoreChecked(size_t input, const Tuple& tuple,
+                                 int64_t now) {
+  const PurgeKernel::Verdict verdict = Check(input, tuple, now);
+  if (verdict == PurgeKernel::Verdict::kRemovable) {
+    states_[input]->CountDroppedArrival();
+    return;
+  }
+  const size_t slot = states_[input]->Insert(tuple);
+  unswept_insert_max_ts_ = std::max(unswept_insert_max_ts_, now);
+  if (verdict == PurgeKernel::Verdict::kAborted) AddCarry(input, slot);
+}
+
+PurgeKernel::Verdict MJoinOperator::Check(size_t input, const Tuple& tuple,
+                                          int64_t now) {
+  if (!kernel_.purgeable(input)) return PurgeKernel::Verdict::kKept;
+  ++metrics_.removability_checks;
+  const PurgeKernel::Verdict verdict = kernel_.Removable(input, tuple, now);
+  if (verdict == PurgeKernel::Verdict::kAborted) {
+    ++metrics_.removability_aborts;
+  }
+  return verdict;
+}
+
 void MJoinOperator::ProduceResults(size_t input, const Tuple& tuple,
                                    int64_t ts) {
   const std::vector<size_t>& order = expand_orders_[input];
 
-  BatchFrontier* cur = &expand_bufs_[0];
-  BatchFrontier* nxt = &expand_bufs_[1];
+  BatchFrontier* cur = kernel_.frontier(0);
+  BatchFrontier* nxt = kernel_.frontier(1);
   cur->Reset(num_inputs());
   cur->SeedSingle(&tuple, input);
 
   for (size_t idx = 1; idx < order.size() && !cur->empty(); ++idx) {
-    Expand(order[idx], *cur, nxt);
+    kernel_.Expand(order[idx], *cur, nxt);
     std::swap(cur, nxt);
   }
   EmitFrontier(*cur, nullptr, ts);
-}
-
-void MJoinOperator::Expand(size_t v, const BatchFrontier& in,
-                           BatchFrontier* out) const {
-  out->Reset(in.width());
-  if (in.empty()) return;
-  // Predicates between v and covered inputs, split into one probe
-  // predicate (index lookup) and verification predicates. Which
-  // inputs are covered is identical for every row of `in` (expansion
-  // fills inputs uniformly), so split once per call, not per row.
-  long probe_pred = -1;
-  verify_scratch_.clear();
-  for (size_t pi : predicates_of_input_[v]) {
-    const LocalPredicate& p = predicates_[pi];
-    size_t other = (p.input_a == v) ? p.input_b : p.input_a;
-    if (in.cell(0, other) == nullptr) continue;
-    if (probe_pred < 0) {
-      probe_pred = static_cast<long>(pi);
-    } else {
-      verify_scratch_.push_back(pi);
-    }
-  }
-  const size_t rows = in.size();
-  if (probe_pred >= 0) {
-    const LocalPredicate& p = predicates_[probe_pred];
-    const size_t v_off = (p.input_a == v) ? p.offset_a : p.offset_b;
-    const size_t o_in = (p.input_a == v) ? p.input_b : p.input_a;
-    const size_t o_off = (p.input_a == v) ? p.offset_b : p.offset_a;
-    const TupleStore& store = *states_[v];
-    // One gather pass builds the probe-key hash column over the whole
-    // frontier (cached Value hashes, no re-hashing); SIMD run
-    // detection then finds same-key runs spanning source rows —
-    // consecutive rows frequently carry the same probe key (all
-    // children of one parent row do, and so do key-clustered batch
-    // rows), so the bucket is resolved and its live members filtered
-    // once per run, not per row. The bucket pointer stays valid across
-    // the run because only FindBucket can trigger index compaction —
-    // ForBucketLive never mutates the index.
-    probe_hashes_.clear();
-    for (size_t r = 0; r < rows; ++r) {
-      probe_hashes_.push_back(
-          static_cast<uint64_t>(in.cell(r, o_in)->HashAt(o_off)));
-    }
-    size_t k = 0;
-    while (k < rows) {
-      const Value& key = in.cell(k, o_in)->at(o_off);
-      // Exact key equality guards hash collisions inside the hash run
-      // (same discipline as ProbeBatch).
-      const size_t hash_run =
-          simd::HashRunLength(probe_hashes_.data() + k, rows - k);
-      size_t same_key = 1;
-      while (same_key < hash_run &&
-             in.cell(k + same_key, o_in)->at(o_off) == key) {
-        ++same_key;
-      }
-      const TupleStore::Bucket* bucket = store.FindBucket(v_off, key);
-      store.NoteProbeRun(same_key);
-      run_cands_.clear();
-      store.ForBucketLive(bucket, [&](size_t, const Tuple& candidate) {
-        run_cands_.push_back(&candidate);
-      });
-      if (run_cands_.empty()) {
-        k += same_key;
-        continue;
-      }
-      if (verify_scratch_.empty()) {
-        // Every (row, candidate) pair of the run is a result.
-        // Row-major product append keeps the frontier in
-        // per-source-row DFS order — the emission-order invariant —
-        // while writing each column as one segment.
-        out->AppendProduct(in, k, same_key, v, run_cands_.data(),
-                           run_cands_.size());
-      } else {
-        pair_rows_.clear();
-        pair_cands_.clear();
-        for (size_t r = k; r < k + same_key; ++r) {
-          for (const Tuple* cand : run_cands_) {
-            pair_rows_.push_back(static_cast<uint32_t>(r));
-            pair_cands_.push_back(cand);
-          }
-        }
-        VerifyPairs(v, in);
-        for (size_t i = 0; i < pair_rows_.size(); ++i) {
-          out->AppendExtended(in, pair_rows_[i], v, pair_cands_[i]);
-        }
-      }
-      k += same_key;
-    }
-  } else {
-    // No predicate to covered inputs: cross product of the whole
-    // frontier with v's live state (one state walk, not per row). No
-    // index probe is counted, matching the per-row ForEachLive path.
-    run_cands_.clear();
-    states_[v]->ForEachLive([&](size_t, const Tuple& candidate) {
-      run_cands_.push_back(&candidate);
-    });
-    if (run_cands_.empty()) return;
-    if (verify_scratch_.empty()) {
-      out->AppendProduct(in, 0, rows, v, run_cands_.data(),
-                         run_cands_.size());
-      return;
-    }
-    pair_rows_.clear();
-    pair_cands_.clear();
-    for (size_t r = 0; r < rows; ++r) {
-      for (const Tuple* cand : run_cands_) {
-        pair_rows_.push_back(static_cast<uint32_t>(r));
-        pair_cands_.push_back(cand);
-      }
-    }
-    VerifyPairs(v, in);
-    for (size_t i = 0; i < pair_rows_.size(); ++i) {
-      out->AppendExtended(in, pair_rows_[i], v, pair_cands_[i]);
-    }
-  }
-}
-
-void MJoinOperator::VerifyPairs(size_t v, const BatchFrontier& in) const {
-  size_t n = pair_rows_.size();
-  for (size_t pi : verify_scratch_) {
-    if (n == 0) break;
-    const LocalPredicate& vp = predicates_[pi];
-    const size_t vv_off = (vp.input_a == v) ? vp.offset_a : vp.offset_b;
-    const size_t vo_in = (vp.input_a == v) ? vp.input_b : vp.input_a;
-    const size_t vo_off = (vp.input_a == v) ? vp.offset_b : vp.offset_a;
-    // Gather both sides' cached hashes into contiguous columns, SIMD
-    // prefilter, exact Value equality only on the survivors (a hash
-    // collision survives the filter and dies here — false positives,
-    // never false negatives).
-    verify_hashes_a_.clear();
-    verify_hashes_b_.clear();
-    for (size_t i = 0; i < n; ++i) {
-      verify_hashes_a_.push_back(
-          static_cast<uint64_t>(pair_cands_[i]->HashAt(vv_off)));
-      verify_hashes_b_.push_back(static_cast<uint64_t>(
-          in.cell(pair_rows_[i], vo_in)->HashAt(vo_off)));
-    }
-    filter_scratch_.resize(n);
-    const size_t maybe =
-        simd::FilterEqualHashes(verify_hashes_a_.data(),
-                                verify_hashes_b_.data(), n,
-                                filter_scratch_.data());
-    // In-place stable compaction (filter indices ascend, so the write
-    // cursor never passes a pending read), preserving pair order — and
-    // with it emission order.
-    size_t kept = 0;
-    for (size_t j = 0; j < maybe; ++j) {
-      const uint32_t i = filter_scratch_[j];
-      if (pair_cands_[i]->at(vv_off) ==
-          in.cell(pair_rows_[i], vo_in)->at(vo_off)) {
-        pair_rows_[kept] = pair_rows_[i];
-        pair_cands_[kept] = pair_cands_[i];
-        ++kept;
-      }
-    }
-    n = kept;
-  }
-  pair_rows_.resize(n);
-  pair_cands_.resize(n);
 }
 
 void MJoinOperator::EmitFrontier(const BatchFrontier& frontier,
@@ -525,93 +347,17 @@ void MJoinOperator::EmitFrontier(const BatchFrontier& frontier,
 }
 
 size_t MJoinOperator::ExpandScratchCapacity() const {
-  size_t total =
-      expand_bufs_[0].CapacitySum() + expand_bufs_[1].CapacitySum();
-  total += verify_scratch_.capacity() + probe_hashes_.capacity() +
-           run_cands_.capacity() + pair_rows_.capacity() +
-           pair_cands_.capacity() + verify_hashes_a_.capacity() +
-           verify_hashes_b_.capacity() + filter_scratch_.capacity();
-  total += combos_scratch_.capacity() + sweep_scratch_.capacity();
-  total += out_values_.capacity() + out_batch_.TupleCapacity();
-  return total;
-}
-
-bool MJoinOperator::Removable(size_t input, const Tuple& tuple, int64_t now) {
-  if (!input_purgeable_[input]) return false;
-  ++metrics_.removability_checks;
-  const size_t m = num_inputs();
-
-  BatchFrontier* joinable = &expand_bufs_[0];
-  BatchFrontier* scratch = &expand_bufs_[1];
-  joinable->Reset(m);
-  joinable->SeedSingle(&tuple, input);
-
-  // Fixpoint over the generalized edges: an input counts as closed as
-  // soon as ANY edge whose sources are already closed has all its
-  // value combinations excluded by the target's punctuation store —
-  // the existential reading of the chained purge strategy.
-  std::vector<bool> covered(m, false);
-  covered[input] = true;
-  size_t covered_count = 1;
-  bool progress = true;
-  while (progress && covered_count < m) {
-    progress = false;
-    for (const RuntimeEdge& edge : runtime_edges_) {
-      if (covered[edge.target_input]) continue;
-      bool sources_ready =
-          std::all_of(edge.source_inputs.begin(), edge.source_inputs.end(),
-                      [&](size_t s) { return covered[s]; });
-      if (!sources_ready) continue;
-      // The distinct value combinations the target's punctuations must
-      // exclude: δ_PA(T_t[Υ]) of the generalized chained purge.
-      // Dedup via sort+unique on a reused scratch vector — the old
-      // per-punctuation std::unordered_set allocated a node per combo.
-      combos_scratch_.clear();
-      for (size_t r = 0; r < joinable->size(); ++r) {
-        std::vector<Value> combo;
-        combo.reserve(edge.sources.size());
-        for (const RuntimeEdge::Source& src : edge.sources) {
-          combo.push_back(joinable->cell(r, src.input)->at(src.offset));
-        }
-        combos_scratch_.push_back(Tuple(std::move(combo)));
-      }
-      std::sort(combos_scratch_.begin(), combos_scratch_.end());
-      combos_scratch_.erase(
-          std::unique(combos_scratch_.begin(), combos_scratch_.end()),
-          combos_scratch_.end());
-      bool all_excluded = true;
-      for (const Tuple& combo : combos_scratch_) {
-        if (!punct_stores_[edge.target_input]->CoversSubspace(
-                edge.target_offsets, combo.values(), now)) {
-          all_excluded = false;
-          break;
-        }
-      }
-      if (!all_excluded) continue;  // maybe another edge closes it
-      // Extend T_t[Υ] through the newly closed input.
-      Expand(edge.target_input, *joinable, scratch);
-      std::swap(joinable, scratch);
-      if (joinable->size() > config_.max_joinable_set) {
-        PUNCTSAFE_LOG(Warning)
-            << "removability check aborted: joinable set exceeded "
-            << config_.max_joinable_set;
-        return false;  // conservative
-      }
-      covered[edge.target_input] = true;
-      ++covered_count;
-      progress = true;
-    }
-  }
-  return covered_count == m;
+  return kernel_.ScratchCapacity() + out_values_.capacity() +
+         out_batch_.TupleCapacity();
 }
 
 void MJoinOperator::PushPunctuation(size_t input,
                                     const Punctuation& punctuation,
                                     int64_t ts) {
   PUNCTSAFE_CHECK(input < num_inputs());
-  PUNCTSAFE_CHECK(punctuation.arity() == widths_[input])
+  PUNCTSAFE_CHECK(punctuation.arity() == kernel_.width(input))
       << "punctuation arity " << punctuation.arity() << " != input width "
-      << widths_[input];
+      << kernel_.width(input);
   ++metrics_.punctuations_received;
   if (obs::kCompiled && obs_ != nullptr) obs_->RecordPunctuation(input, ts);
 
@@ -628,69 +374,559 @@ void MJoinOperator::PushPunctuation(size_t input,
 
   // Queue propagation if this instantiates a propagatable scheme.
   if (config_.propagate_punctuations) {
-    std::vector<size_t> signature = punctuation.ConstrainedAttrs();
-    for (const auto& prop : propagatable_signatures_[input]) {
-      if (prop != signature) continue;
-      bool already = std::any_of(
-          pending_propagations_.begin(), pending_propagations_.end(),
-          [&](const PendingPropagation& p) {
-            return p.input == input && p.punctuation == punctuation;
-          });
-      if (!already) pending_propagations_.push_back({input, punctuation});
+    for (const auto& signature : propagatable_signatures_[input]) {
+      if (!HasSignature(punctuation, signature)) continue;
+      AddPending(input, punctuation);
       break;
     }
   }
 
+  // A sweep that does not run now still owes this punctuation's
+  // candidates to the next one (bounded: past lazy_batch of them the
+  // next sweep just scans).
+  if (config_.purge_policy != PurgePolicy::kEager && !full_sweep_due_) {
+    if (unswept_puncts_.size() >= std::max<size_t>(config_.lazy_batch, 1)) {
+      full_sweep_due_ = true;
+      unswept_puncts_.clear();
+    } else {
+      unswept_puncts_.emplace_back(input, punctuation);
+    }
+  }
   switch (config_.purge_policy) {
     case PurgePolicy::kEager:
-      Sweep(ts);
+      RunSweep(ts, input, &punctuation);
       break;
     case PurgePolicy::kLazy:
-      if (++punctuations_since_sweep_ >= config_.lazy_batch) Sweep(ts);
+      if (++punctuations_since_sweep_ >= config_.lazy_batch) {
+        RunSweep(ts, input, &punctuation);
+      }
       break;
     case PurgePolicy::kNone:
       break;
   }
-  std::vector<bool> changed(num_inputs(), false);
-  changed[input] = true;
-  TryPropagate(ts, changed);
+  // The arrival's own propagation check: only this punctuation's entry
+  // can have changed state since its input's last check.
+  if (config_.propagate_punctuations) {
+    prop_hits_.clear();
+    const long pos = FindPending(input, punctuation);
+    if (pos >= 0) prop_hits_.push_back(static_cast<uint32_t>(pos));
+    PropagateDelta(ts, Bit(input));
+  }
 }
 
 void MJoinOperator::OnObserverSet() {
   for (auto& state : states_) state->SetObserver(obs_);
 }
 
-void MJoinOperator::Sweep(int64_t now) {
+void MJoinOperator::Sweep(int64_t now) { RunSweep(now, 0, nullptr); }
+
+template <typename Fn>
+void MJoinOperator::Quietly(Fn&& fn) {
+  const OperatorMetricsSnapshot op = metrics_.Snapshot();
+  std::vector<StateMetricsSnapshot> saved;
+  saved.reserve(num_inputs());
+  for (const auto& s : states_) saved.push_back(s->metrics().Snapshot());
+  fn();
+  for (size_t k = 0; k < num_inputs(); ++k) {
+    states_[k]->RestoreMetrics(saved[k]);
+  }
+  metrics_.removability_checks = op.removability_checks;
+  metrics_.removability_aborts = op.removability_aborts;
+  metrics_.propagation_checks = op.propagation_checks;
+  metrics_.retirement_checks = op.retirement_checks;
+}
+
+void MJoinOperator::NoteAuditMismatch(const std::string& what) {
+  if (audit_mismatches_++ == 0) audit_report_ = what;
+}
+
+void MJoinOperator::RunSweep(int64_t now, size_t trigger_input,
+                             const Punctuation* trigger) {
   ++metrics_.purge_sweeps;
   punctuations_since_sweep_ = 0;
   const bool observing = obs::kCompiled && obs_ != nullptr;
   const int64_t sweep_start = observing ? obs::NowNs() : 0;
+  const size_t m = num_inputs();
+
+  // Slots carried by the previous sweep (marked sweep_stamp_ + 1)
+  // become this sweep's candidates.
+  if (sweep_stamp_ >= UINT32_MAX - 2) {
+    for (auto& marks : marks_) std::fill(marks.begin(), marks.end(), 0);
+    sweep_stamp_ = 1;
+  }
+  ++sweep_stamp_;
+  for (size_t k = 0; k < m; ++k) {
+    candidates_[k].swap(carried_[k]);
+    carried_[k].clear();
+  }
+  scan_all_ = carry_scan_all_;
+  carry_scan_all_ = 0;
+  prop_hits_.clear();
+  retire_cands_.clear();
+  retire_full_ = false;
+  const bool full = !CollectCandidates(now, trigger_input, trigger);
+  if (full) {
+    scan_all_ = purgeable_mask_;
+    retire_full_ = true;
+  }
+
   uint64_t purged_total = 0;
-  std::vector<bool> changed(num_inputs(), false);
-  for (size_t k = 0; k < num_inputs(); ++k) {
-    if (!input_purgeable_[k]) continue;
+  uint64_t changed = 0;
+  for (size_t k = 0; k < m; ++k) {
+    if (!kernel_.purgeable(k)) continue;
     const size_t scratch_before = ExpandScratchCapacity();
-    sweep_scratch_.clear();
-    states_[k]->ForEachLive([&](size_t slot, const Tuple& t) {
-      if (Removable(k, t, now)) sweep_scratch_.push_back(slot);
-    });
-    if (!sweep_scratch_.empty()) changed[k] = true;
-    purged_total += sweep_scratch_.size();
-    states_[k]->PurgeSlots(sweep_scratch_);
+    TupleStore& state = *states_[k];
+    purged_.clear();
+    aborted_.clear();
+    if ((scan_all_ & Bit(k)) != 0) {
+      ScanInput(k, now, &purged_, &aborted_);
+    } else {
+      for (size_t slot : candidates_[k]) {
+        if (state.IsLive(slot)) {
+          CheckSlot(k, slot, state.At(slot), now, &purged_, &aborted_);
+        }
+      }
+      // Purge in live order, exactly as the scan would: the dense
+      // live list's swap-remove order then matches too.
+      std::sort(purged_.begin(), purged_.end(), [&](size_t a, size_t b) {
+        return state.live_position(a) < state.live_position(b);
+      });
+    }
+    if (audit_) {
+      std::vector<size_t> full_purged;
+      std::vector<size_t> full_aborted;
+      Quietly([&] { ScanInput(k, now, &full_purged, &full_aborted); });
+      std::vector<size_t> delta_purged = purged_;
+      std::sort(delta_purged.begin(), delta_purged.end());
+      std::sort(full_purged.begin(), full_purged.end());
+      if (delta_purged != full_purged) {
+        NoteAuditMismatch(StrCat("sweep ", metrics_.purge_sweeps.load(),
+                                 " input ", k, ": delta purged ",
+                                 delta_purged.size(), " slots, full scan ",
+                                 full_purged.size()));
+      }
+    }
+    // Aborted checks are retried every sweep.
+    for (size_t slot : aborted_) AddCarry(k, slot);
+    if (!purged_.empty()) {
+      changed |= Bit(k);
+      purged_total += purged_.size();
+      state.PurgeSlots(purged_);
+      // Purged payloads stay addressable until AdvanceEpoch. Their
+      // join-connected tuples of later inputs are checked in this
+      // sweep; those of earlier inputs, whose pass is over, in the
+      // next one (the scan would also free them only one sweep later).
+      BeginWalk();
+      for (size_t slot : purged_) {
+        const Tuple& gone = state.At(slot);
+        QueueNeighbors(k, gone);
+        NotePurgedForPropagation(k, gone);
+        NotePurgedForRetirement(k, gone, now);
+      }
+      const uint64_t later = purgeable_mask_ & ~((Bit(k) << 1) - 1);
+      const uint64_t earlier = purgeable_mask_ & (Bit(k) - 1);
+      WalkJoinGraph(
+          [&](size_t i, size_t slot) {
+            if (i > k) {
+              AddCandidate(i, slot);
+            } else if (i < k) {
+              AddCarry(i, slot);
+            }
+          },
+          [&] {
+            return (scan_all_ & later) == later &&
+                   (carry_scan_all_ & earlier) == earlier;
+          });
+    }
     if (ExpandScratchCapacity() > scratch_before) {
-      states_[k]->CountExpandAllocs(1);
+      state.CountExpandAllocs(1);
     }
   }
-  TryPropagate(now, changed);
-  if (config_.purge_punctuations) PurgeObsoletePunctuations(now);
+
+  // Pending propagations: entries matched by a purged tuple, plus the
+  // triggering punctuation's own entry when its input changed.
+  if (config_.propagate_punctuations) {
+    if (trigger != nullptr && (changed & Bit(trigger_input)) != 0) {
+      const long pos = FindPending(trigger_input, *trigger);
+      if (pos >= 0) prop_hits_.push_back(static_cast<uint32_t>(pos));
+    }
+    PropagateDelta(now, changed);
+  }
+  if (config_.purge_punctuations) Retire(now, retire_full_);
   // Epoch boundary: no probe results from this sweep are in flight
   // anymore, so purged payloads can be released and all-dead arena
   // blocks reclaimed wholesale.
   for (auto& state : states_) state->AdvanceEpoch();
+  unswept_puncts_.clear();
+  full_sweep_due_ = false;
+  unswept_insert_max_ts_ = INT64_MIN;
+  last_sweep_now_ = now;
   if (observing) obs_->RecordSweep(obs::NowNs() - sweep_start, purged_total);
 }
 
-void MJoinOperator::PurgeObsoletePunctuations(int64_t now) {
+bool MJoinOperator::CollectCandidates(int64_t now, size_t trigger_input,
+                                      const Punctuation* trigger) {
+  const size_t m = num_inputs();
+  // Stored tuples not checked against the current stores: every
+  // arrival under lazy and none, and (with lifespans) eager arrivals
+  // checked at a later time than this sweep's, when more punctuations
+  // were still unexpired.
+  const bool lifespan = config_.punctuation_lifespan.has_value();
+  const bool unchecked =
+      config_.purge_policy != PurgePolicy::kEager ||
+      (lifespan && unswept_insert_max_ts_ > now);
+  for (size_t k = 0; k < m; ++k) {
+    const size_t from = swept_slot_end_[k];
+    const size_t end = states_[k]->slot_end();
+    swept_slot_end_[k] = end;
+    if (!unchecked || !kernel_.purgeable(k)) continue;
+    if (end - from + candidates_[k].size() >= states_[k]->live_count()) {
+      scan_all_ |= Bit(k);
+      continue;
+    }
+    for (size_t slot = from; slot < end; ++slot) {
+      if (states_[k]->IsLive(slot)) AddCandidate(k, slot);
+    }
+  }
+  // The rule that makes a restored operator, or one whose sweeps go
+  // back in time under lifespans (coverage can then grow without a new
+  // punctuation), sweep in full.
+  if (full_sweep_due_ || (lifespan && now < last_sweep_now_)) return false;
+
+  const bool eager = config_.purge_policy == PurgePolicy::kEager;
+  BeginWalk();
+  if (eager && trigger != nullptr && !QueueSeeds(trigger_input, *trigger)) {
+    return false;
+  }
+  for (const auto& [input, p] : unswept_puncts_) {
+    if (!QueueSeeds(input, p)) return false;
+  }
+  WalkJoinGraph([&](size_t i, size_t slot) { AddCandidate(i, slot); },
+                [&] {
+                  return (scan_all_ & purgeable_mask_) == purgeable_mask_;
+                });
+
+  if (config_.purge_punctuations) {
+    bool located = true;
+    if (eager && trigger != nullptr) {
+      located = NoteRetirementTrigger(trigger_input, *trigger);
+    }
+    for (const auto& [input, p] : unswept_puncts_) {
+      located = located && NoteRetirementTrigger(input, p);
+    }
+    if (!located) retire_full_ = true;
+  }
+  return true;
+}
+
+bool MJoinOperator::QueueSeeds(size_t j, const Punctuation& p) {
+  size_t first = p.arity();
+  for (size_t a = 0; a < p.arity(); ++a) {
+    if (!p.pattern(a).is_wildcard()) {
+      first = a;
+      break;
+    }
+  }
+  if (first == p.arity()) return false;  // all-wildcard: closes everything
+  // p can newly close input j for a tuple only through an edge into j
+  // whose target signature contains every constrained attribute of p,
+  // and only for joinable rows carrying p's constants — rows holding a
+  // source tuple whose binding value equals p's constant.
+  for (const PurgeKernel::Edge& edge : kernel_.edges()) {
+    if (edge.target_input != j) continue;
+    const std::vector<size_t>& targets = edge.target_offsets;
+    size_t first_pos = targets.size();
+    bool covers = true;
+    for (size_t a = 0; a < p.arity() && covers; ++a) {
+      if (p.pattern(a).is_wildcard()) continue;
+      auto it = std::find(targets.begin(), targets.end(), a);
+      covers = it != targets.end();
+      if (covers && a == first) {
+        first_pos = static_cast<size_t>(it - targets.begin());
+      }
+    }
+    if (!covers) continue;
+    const PurgeKernel::Edge::Source& src = edge.sources[first_pos];
+    QueueKey(src.input, src.offset, &p.pattern(first).constant());
+  }
+  return true;
+}
+
+void MJoinOperator::CheckSlot(size_t k, size_t slot, const Tuple& t,
+                              int64_t now, std::vector<size_t>* removable,
+                              std::vector<size_t>* aborted) {
+  switch (Check(k, t, now)) {
+    case PurgeKernel::Verdict::kRemovable:
+      removable->push_back(slot);
+      break;
+    case PurgeKernel::Verdict::kAborted:
+      aborted->push_back(slot);
+      break;
+    case PurgeKernel::Verdict::kKept:
+      break;
+  }
+}
+
+void MJoinOperator::ScanInput(size_t k, int64_t now,
+                              std::vector<size_t>* removable,
+                              std::vector<size_t>* aborted) {
+  states_[k]->ForEachLive([&](size_t slot, const Tuple& t) {
+    CheckSlot(k, slot, t, now, removable, aborted);
+  });
+}
+
+void MJoinOperator::BeginWalk() {
+  walk_queue_.clear();
+  key_count_ = 0;
+  if (++key_stamp_ == 0) {  // wrapped: forget every old stamp
+    std::fill(key_slots_.begin(), key_slots_.end(), KeySlot{});
+    key_stamp_ = 1;
+  }
+  if (key_slots_.empty()) key_slots_.resize(64);
+}
+
+void MJoinOperator::GrowKeySlots() {
+  // Fresh slots carry stamp 0, never a live stamp (those start at 1).
+  std::vector<KeySlot> old(key_slots_.size() * 2);
+  old.swap(key_slots_);
+  const size_t mask = key_slots_.size() - 1;
+  for (const KeySlot& slot : old) {
+    if (slot.stamp != key_stamp_) continue;
+    size_t i = KeySlotHash(slot.input, slot.offset, *slot.value) & mask;
+    while (key_slots_[i].stamp == key_stamp_) i = (i + 1) & mask;
+    key_slots_[i] = slot;
+  }
+}
+
+void MJoinOperator::QueueKey(size_t input, size_t offset, const Value* value) {
+  if ((key_count_ + 1) * 2 > key_slots_.size()) GrowKeySlots();
+  const size_t mask = key_slots_.size() - 1;
+  size_t i = KeySlotHash(input, offset, *value) & mask;
+  while (key_slots_[i].stamp == key_stamp_) {
+    const KeySlot& slot = key_slots_[i];
+    if (slot.input == input && slot.offset == offset &&
+        *slot.value == *value) {
+      return;  // this bucket is already queued
+    }
+    i = (i + 1) & mask;
+  }
+  key_slots_[i] = {value, static_cast<uint32_t>(input),
+                   static_cast<uint32_t>(offset), key_stamp_};
+  ++key_count_;
+  walk_queue_.push_back({static_cast<uint32_t>(input),
+                         static_cast<uint32_t>(offset), value});
+}
+
+void MJoinOperator::QueueNeighbors(size_t input, const Tuple& tuple) {
+  for (size_t pi : kernel_.predicates_of_input(input)) {
+    const PurgeKernel::Predicate& p = kernel_.predicates()[pi];
+    QueueKey(p.Other(input), p.OffsetOnOther(input),
+             &tuple.at(p.OffsetOn(input)));
+  }
+}
+
+template <typename Visit, typename Stop>
+void MJoinOperator::WalkJoinGraph(Visit&& visit, Stop&& stop) {
+  // The queue grows while it is walked; keys are copied out first. The
+  // walk reads buckets directly: it is purge bookkeeping, not a join
+  // probe, so StateMetrics::probes does not count it.
+  for (size_t head = 0; head < walk_queue_.size() && !stop(); ++head) {
+    const WalkKey key = walk_queue_[head];
+    const TupleStore& store = *states_[key.input];
+    const TupleStore::Bucket* bucket = store.FindBucket(key.offset, *key.value);
+    if (bucket == nullptr) continue;
+    for (size_t slot : *bucket) {
+      if (!store.IsLive(slot)) continue;
+      visit(key.input, slot);
+      QueueNeighbors(key.input, store.At(slot));
+    }
+  }
+}
+
+uint32_t& MJoinOperator::Mark(size_t input, size_t slot) {
+  std::vector<uint32_t>& marks = marks_[input];
+  if (slot >= marks.size()) marks.resize(states_[input]->slot_end(), 0);
+  return marks[slot];
+}
+
+void MJoinOperator::AddCandidate(size_t input, size_t slot) {
+  if ((purgeable_mask_ & ~scan_all_ & Bit(input)) == 0) return;
+  uint32_t& mark = Mark(input, slot);
+  if (mark == sweep_stamp_) return;
+  mark = sweep_stamp_;
+  candidates_[input].push_back(slot);
+  if (candidates_[input].size() >= states_[input]->live_count()) {
+    scan_all_ |= Bit(input);  // as many checks as a scan: scan instead
+  }
+}
+
+void MJoinOperator::AddCarry(size_t input, size_t slot) {
+  if ((purgeable_mask_ & ~carry_scan_all_ & Bit(input)) == 0) return;
+  uint32_t& mark = Mark(input, slot);
+  if (mark == sweep_stamp_ + 1) return;
+  mark = sweep_stamp_ + 1;
+  carried_[input].push_back(slot);
+  if (carried_[input].size() >= states_[input]->live_count()) {
+    carry_scan_all_ |= Bit(input);
+  }
+}
+
+size_t MJoinOperator::PendingKeyHash(size_t input,
+                                     const Punctuation& p) const {
+  size_t seed = TupleHashStep(kTupleHashSeed, input);
+  for (size_t a = 0; a < p.arity(); ++a) {
+    if (p.pattern(a).is_wildcard()) continue;
+    seed = TupleHashStep(TupleHashStep(seed, a),
+                         p.pattern(a).constant().Hash());
+  }
+  return seed;
+}
+
+long MJoinOperator::FindPending(size_t input, const Punctuation& p) const {
+  auto [it, end] = pending_index_.equal_range(PendingKeyHash(input, p));
+  for (; it != end; ++it) {
+    const PendingPropagation& entry = pending_[it->second];
+    if (entry.live && entry.input == input && entry.punctuation == p) {
+      return static_cast<long>(it->second);
+    }
+  }
+  return -1;
+}
+
+void MJoinOperator::AddPending(size_t input, const Punctuation& p) {
+  if (FindPending(input, p) >= 0) return;
+  pending_index_.emplace(PendingKeyHash(input, p),
+                         static_cast<uint32_t>(pending_.size()));
+  pending_.push_back({input, p, true});
+  ++pending_live_;
+}
+
+void MJoinOperator::NotePurgedForPropagation(size_t input,
+                                             const Tuple& tuple) {
+  if (!config_.propagate_punctuations) return;
+  // An unverified input's next change re-checks all its entries anyway.
+  if ((pending_unverified_ & Bit(input)) != 0) return;
+  // A pending entry is blocked only by live tuples it matches, so a
+  // purge can unblock exactly the entries whose constants the purged
+  // tuple carries: one lookup per propagatable signature.
+  for (const std::vector<size_t>& signature : propagatable_signatures_[input]) {
+    size_t seed = TupleHashStep(kTupleHashSeed, input);
+    for (size_t a : signature) {
+      seed = TupleHashStep(TupleHashStep(seed, a), tuple.HashAt(a));
+    }
+    auto [it, end] = pending_index_.equal_range(seed);
+    for (; it != end; ++it) {
+      const PendingPropagation& entry = pending_[it->second];
+      if (entry.live && entry.input == input &&
+          entry.punctuation.Matches(tuple)) {
+        prop_hits_.push_back(it->second);
+      }
+    }
+  }
+}
+
+bool MJoinOperator::PropagationBlocked(const PendingPropagation& entry) {
+  ++metrics_.propagation_checks;
+  // A pending punctuation is blocked while a stored tuple still
+  // matches it; probe the state via an index where possible.
+  const Punctuation& p = entry.punctuation;
+  const TupleStore& store = *states_[entry.input];
+  for (size_t a = 0; a < p.arity(); ++a) {
+    if (p.pattern(a).is_wildcard() || !store.HasIndexOn(a)) continue;
+    return store.AnyMatch(a, p.pattern(a).constant(),
+                          [&](const Tuple& t) { return p.Matches(t); });
+  }
+  return store.AnyLive([&](const Tuple& t) { return p.Matches(t); });
+}
+
+void MJoinOperator::FullPropagationList(uint64_t changed,
+                                        std::vector<uint32_t>* out) {
+  for (size_t pos = 0; pos < pending_.size(); ++pos) {
+    const PendingPropagation& entry = pending_[pos];
+    if (entry.live && (changed & Bit(entry.input)) != 0 &&
+        !PropagationBlocked(entry)) {
+      out->push_back(static_cast<uint32_t>(pos));
+    }
+  }
+}
+
+void MJoinOperator::PropagateDelta(int64_t now, uint64_t changed) {
+  // Inputs unverified since a restore get the full rule once.
+  const uint64_t unverified = pending_unverified_ & changed;
+  if (unverified != 0) {
+    for (size_t pos = 0; pos < pending_.size(); ++pos) {
+      if (pending_[pos].live && (unverified & Bit(pending_[pos].input)) != 0) {
+        prop_hits_.push_back(static_cast<uint32_t>(pos));
+      }
+    }
+    pending_unverified_ &= ~unverified;
+  }
+  // Arrival order is position order.
+  std::sort(prop_hits_.begin(), prop_hits_.end());
+  prop_hits_.erase(std::unique(prop_hits_.begin(), prop_hits_.end()),
+                   prop_hits_.end());
+  size_t unblocked = 0;
+  for (uint32_t pos : prop_hits_) {
+    if (!PropagationBlocked(pending_[pos])) prop_hits_[unblocked++] = pos;
+  }
+  prop_hits_.resize(unblocked);
+  if (audit_) {
+    std::vector<uint32_t> full;
+    Quietly([&] { FullPropagationList(changed, &full); });
+    if (full != prop_hits_) {
+      NoteAuditMismatch(StrCat("propagation at ", now, ": delta emits ",
+                               prop_hits_.size(), " punctuations, full rule ",
+                               full.size()));
+    }
+  }
+  EmitPropagations(now, prop_hits_);
+  prop_hits_.clear();
+  CompactPending();
+}
+
+void MJoinOperator::EmitPropagations(int64_t now,
+                                     const std::vector<uint32_t>& positions) {
+  for (uint32_t pos : positions) {
+    PendingPropagation& entry = pending_[pos];
+    Emit(StreamElement::OfPunctuation(
+        RebaseToOutput(entry.input, entry.punctuation), now));
+    ++metrics_.punctuations_propagated;
+    if (obs::kCompiled && obs_ != nullptr) {
+      obs_->Note(obs::TraceKind::kPunctOut, entry.input);
+    }
+    auto [it, end] = pending_index_.equal_range(
+        PendingKeyHash(entry.input, entry.punctuation));
+    for (; it != end; ++it) {
+      if (it->second == pos) {
+        pending_index_.erase(it);
+        break;
+      }
+    }
+    entry.live = false;
+    entry.punctuation = Punctuation();
+    --pending_live_;
+  }
+}
+
+void MJoinOperator::CompactPending() {
+  // Emitted entries leave holes; squeeze them out once they dominate.
+  if (pending_.size() < 64 || pending_.size() <= 2 * pending_live_) return;
+  size_t kept = 0;
+  for (size_t pos = 0; pos < pending_.size(); ++pos) {
+    if (!pending_[pos].live) continue;
+    if (kept != pos) pending_[kept] = std::move(pending_[pos]);
+    ++kept;
+  }
+  pending_.resize(kept);
+  pending_index_.clear();
+  for (size_t pos = 0; pos < pending_.size(); ++pos) {
+    pending_index_.emplace(
+        PendingKeyHash(pending_[pos].input, pending_[pos].punctuation),
+        static_cast<uint32_t>(pos));
+  }
+}
+
+bool MJoinOperator::Retirable(size_t v, const Punctuation& p, int64_t now) {
   // A punctuation p on input v exists to close join values that
   // partner inputs wait on. Once every predicate (u.x = v.y) with y
   // constrained by p has (a) u's own punctuation store excluding
@@ -700,89 +936,133 @@ void MJoinOperator::PurgeObsoletePunctuations(int64_t now) {
   // case is the paper's (*, b1)-retires-(b1, *) example). Punctuations
   // whose constrained attributes include a non-join attribute are
   // kept: they still deduplicate late arrivals on their own input.
-  //
+  ++metrics_.retirement_checks;
+  bool touches_join = false;
+  for (size_t y = 0; y < p.arity(); ++y) {
+    if (p.pattern(y).is_wildcard()) continue;
+    for (size_t pi : kernel_.predicates_of_input(v)) {
+      const PurgeKernel::Predicate& pred = kernel_.predicates()[pi];
+      if (pred.OffsetOn(v) != y) continue;
+      touches_join = true;
+      const size_t u = pred.Other(v);
+      retire_attr_.assign(1, pred.OffsetOnOther(v));
+      const Value& value = p.pattern(y).constant();
+      if (!punct_stores_[u]->CoversSubspace(
+              retire_attr_, std::span<const Value>(&value, 1), now)) {
+        return false;  // future u tuples may still need p
+      }
+      if (states_[u]->AnyMatch(retire_attr_[0], value,
+                               [](const Tuple&) { return true; })) {
+        return false;  // a stored u tuple still waits on p
+      }
+    }
+    // A constrained non-join attribute neither helps nor blocks: the
+    // join-attribute conditions decide.
+  }
+  return touches_join;
+}
+
+bool MJoinOperator::NoteRetirementTrigger(size_t input,
+                                          const Punctuation& p) {
+  size_t constrained = 0;
+  size_t attr = 0;
+  for (size_t a = 0; a < p.arity(); ++a) {
+    if (p.pattern(a).is_wildcard()) continue;
+    ++constrained;
+    attr = a;
+  }
+  // An all-wildcard punctuation closes every value of its input, so
+  // any partner punctuation may have become obsolete.
+  if (constrained == 0) return false;
+  if (const Punctuation* stored = punct_stores_[input]->Find(p)) {
+    retire_cands_.push_back({input, stored});
+  }
+  // Only a single-attribute punctuation can satisfy a partner's
+  // condition (a): CoversSubspace over the one attribute {x}.
+  if (constrained != 1) return true;
+  for (size_t pi : kernel_.predicates_of_input(input)) {
+    const PurgeKernel::Predicate& pred = kernel_.predicates()[pi];
+    if (pred.OffsetOn(input) != attr) continue;
+    const size_t v = pred.Other(input);
+    punct_stores_[v]->ForEachWithConstant(
+        pred.OffsetOnOther(input), p.pattern(attr).constant(),
+        [&](const Punctuation& q) { retire_cands_.push_back({v, &q}); });
+  }
+  return true;
+}
+
+void MJoinOperator::NotePurgedForRetirement(size_t input, const Tuple& tuple,
+                                            int64_t now) {
+  if (!config_.purge_punctuations) return;
+  // The purge may have removed the last stored tuple condition (b)
+  // waited on, for partner punctuations carrying its join values.
+  for (size_t pi : kernel_.predicates_of_input(input)) {
+    const PurgeKernel::Predicate& pred = kernel_.predicates()[pi];
+    const size_t v = pred.Other(input);
+    const Value& value = tuple.at(pred.OffsetOn(input));
+    // Those partners also need condition (a) through this predicate:
+    // this input's own store excluding {x = value}. Without it none of
+    // them can retire (coverage cannot grow before Retire runs), so
+    // skip the lookup — and the scan of multi-attribute groups, whose
+    // pair punctuations (the sensor query's) may never retire at all.
+    retire_attr_.assign(1, pred.OffsetOn(input));
+    if (!punct_stores_[input]->CoversSubspace(
+            retire_attr_, std::span<const Value>(&value, 1), now)) {
+      continue;
+    }
+    punct_stores_[v]->ForEachWithConstant(
+        pred.OffsetOnOther(input), value,
+        [&](const Punctuation& q) { retire_cands_.push_back({v, &q}); });
+  }
+}
+
+void MJoinOperator::FullRetirementList(
+    int64_t now, std::vector<std::pair<size_t, const Punctuation*>>* out) {
+  for (size_t v = 0; v < num_inputs(); ++v) {
+    punct_stores_[v]->ForEach([&](const Punctuation& p) {
+      if (Retirable(v, p, now)) out->push_back({v, &p});
+    });
+  }
+}
+
+void MJoinOperator::Retire(int64_t now, bool full) {
   // Conditions are evaluated against a snapshot and the removals
   // applied afterwards: two punctuations that justify each other's
   // retirement both go — exclusion is a property of the stream
   // contract, not of the store that recorded it.
-  auto retirable = [&](size_t v, const Punctuation& p) {
-    bool touches_join = false;
-    for (size_t y : p.ConstrainedAttrs()) {
-      for (size_t pi : predicates_of_input_[v]) {
-        const LocalPredicate& pred = predicates_[pi];
-        size_t v_off = (pred.input_a == v) ? pred.offset_a : pred.offset_b;
-        if (v_off != y) continue;
-        touches_join = true;
-        size_t u = (pred.input_a == v) ? pred.input_b : pred.input_a;
-        size_t u_off = (pred.input_a == v) ? pred.offset_b : pred.offset_a;
-        const Value& value = p.pattern(y).constant();
-        if (!punct_stores_[u]->CoversSubspace(
-                {u_off}, std::span<const Value>(&value, 1), now)) {
-          return false;  // future u tuples may still need p
-        }
-        if (states_[u]->AnyMatch(u_off, value,
-                                 [](const Tuple&) { return true; })) {
-          return false;  // a stored u tuple still waits on p
-        }
-      }
-      // A constrained non-join attribute neither helps nor blocks:
-      // the join-attribute conditions decide.
-    }
-    return touches_join;
+  std::vector<std::pair<size_t, const Punctuation*>>& cands = retire_cands_;
+  auto by_pointer = [](const auto& a, const auto& b) {
+    return a.second < b.second;
   };
-
-  std::vector<std::unordered_set<Punctuation, PunctuationHash>> to_remove(
-      num_inputs());
-  for (size_t v = 0; v < num_inputs(); ++v) {
-    punct_stores_[v]->ForEach([&](const Punctuation& p) {
-      if (retirable(v, p)) to_remove[v].insert(p);
-    });
+  if (full) {
+    cands.clear();
+    FullRetirementList(now, &cands);
+  } else {
+    std::sort(cands.begin(), cands.end(), by_pointer);
+    cands.erase(std::unique(cands.begin(), cands.end()), cands.end());
+    size_t kept = 0;
+    for (const auto& cand : cands) {
+      if (Retirable(cand.first, *cand.second, now)) cands[kept++] = cand;
+    }
+    cands.resize(kept);
   }
-  for (size_t v = 0; v < num_inputs(); ++v) {
-    punctuations_purged_ += punct_stores_[v]->RemoveIf(
-        [&](const Punctuation& p) { return to_remove[v].count(p) > 0; });
+  if (audit_) {
+    std::vector<std::pair<size_t, const Punctuation*>> expected;
+    Quietly([&] { FullRetirementList(now, &expected); });
+    std::sort(expected.begin(), expected.end(), by_pointer);
+    std::vector<std::pair<size_t, const Punctuation*>> got = cands;
+    std::sort(got.begin(), got.end(), by_pointer);
+    if (got != expected) {
+      NoteAuditMismatch(StrCat("retirement at ", now, ": delta retires ",
+                               got.size(), " punctuations, full rule ",
+                               expected.size()));
+    }
   }
+  for (const auto& [v, p] : cands) {
+    punctuations_purged_ += punct_stores_[v]->Remove(*p) ? 1 : 0;
+  }
+  cands.clear();
   metrics_.OnPunctuationsLive(TotalLivePunctuations());
-}
-
-void MJoinOperator::TryPropagate(int64_t now,
-                                 const std::vector<bool>& changed_inputs) {
-  if (!config_.propagate_punctuations) return;
-  for (auto it = pending_propagations_.begin();
-       it != pending_propagations_.end();) {
-    if (!changed_inputs[it->input]) {
-      ++it;  // nothing changed for this input since the last check
-      continue;
-    }
-    // A pending punctuation is blocked while a stored tuple still
-    // matches it; probe the state via an index where possible.
-    const Punctuation& p = it->punctuation;
-    const TupleStore& store = *states_[it->input];
-    bool blocked = false;
-    size_t probe_attr = static_cast<size_t>(-1);
-    for (size_t a : p.ConstrainedAttrs()) {
-      if (store.HasIndexOn(a)) {
-        probe_attr = a;
-        break;
-      }
-    }
-    if (probe_attr != static_cast<size_t>(-1)) {
-      blocked = store.AnyMatch(probe_attr, p.pattern(probe_attr).constant(),
-                               [&](const Tuple& t) { return p.Matches(t); });
-    } else {
-      blocked = store.AnyLive([&](const Tuple& t) { return p.Matches(t); });
-    }
-    if (blocked) {
-      ++it;
-      continue;
-    }
-    Emit(StreamElement::OfPunctuation(RebaseToOutput(it->input, p), now));
-    ++metrics_.punctuations_propagated;
-    if (obs::kCompiled && obs_ != nullptr) {
-      obs_->Note(obs::TraceKind::kPunctOut, it->input);
-    }
-    it = pending_propagations_.erase(it);
-  }
 }
 
 Punctuation MJoinOperator::RebaseToOutput(size_t input,
@@ -813,8 +1093,9 @@ OperatorStateSnapshot MJoinOperator::CaptureState() const {
         });
     in.state_metrics = states_[k]->metrics().Snapshot();
   }
-  snap.pending.reserve(pending_propagations_.size());
-  for (const PendingPropagation& p : pending_propagations_) {
+  snap.pending.reserve(pending_live_);
+  for (const PendingPropagation& p : pending_) {
+    if (!p.live) continue;
     snap.pending.push_back({static_cast<uint32_t>(p.input), p.punctuation});
   }
   snap.op_metrics = metrics_.Snapshot();
@@ -830,14 +1111,14 @@ Status MJoinOperator::RestoreState(const OperatorStateSnapshot& snapshot) {
         " inputs but the operator has " + std::to_string(num_inputs()));
   }
   if (TotalLiveTuples() != 0 || TotalLivePunctuations() != 0 ||
-      !pending_propagations_.empty()) {
+      pending_live_ != 0) {
     return Status::FailedPrecondition(
         "RestoreState requires a freshly created operator");
   }
   for (size_t k = 0; k < num_inputs(); ++k) {
     const InputStateSnapshot& in = snapshot.inputs[k];
     for (const PunctuationEntry& e : in.punctuations) {
-      if (e.punctuation.arity() != widths_[k]) {
+      if (e.punctuation.arity() != kernel_.width(k)) {
         return Status::InvalidArgument(
             "snapshot punctuation arity does not match input " +
             std::to_string(k));
@@ -845,7 +1126,7 @@ Status MJoinOperator::RestoreState(const OperatorStateSnapshot& snapshot) {
       punct_stores_[k]->Add(e.punctuation, e.arrival);
     }
     for (const Tuple& t : in.tuples) {
-      if (t.size() != widths_[k]) {
+      if (t.size() != kernel_.width(k)) {
         return Status::InvalidArgument(
             "snapshot tuple width does not match input " +
             std::to_string(k));
@@ -860,12 +1141,21 @@ Status MJoinOperator::RestoreState(const OperatorStateSnapshot& snapshot) {
           "snapshot pending propagation names input " +
           std::to_string(p.input));
     }
-    pending_propagations_.push_back({p.input, p.punctuation});
+    // Appended as captured (no dedup): restore reproduces the entries.
+    pending_index_.emplace(PendingKeyHash(p.input, p.punctuation),
+                           static_cast<uint32_t>(pending_.size()));
+    pending_.push_back({p.input, p.punctuation, true});
+    ++pending_live_;
   }
   metrics_.RestoreFrom(snapshot.op_metrics);
   punctuations_purged_ = snapshot.punctuations_purged;
   punctuations_since_sweep_ =
       static_cast<size_t>(snapshot.punctuations_since_sweep);
+  // The delta bookkeeping (carried slots, unswept punctuations) is not
+  // part of the snapshot: the next sweep scans in full, and every
+  // restored pending entry is re-checked at its input's next change.
+  full_sweep_due_ = true;
+  pending_unverified_ = ~uint64_t{0};
   return Status::OK();
 }
 
@@ -881,8 +1171,13 @@ void MJoinOperator::RecheckPropagations(int64_t now) {
   const uint64_t propagated =
       metrics_.punctuations_propagated.load(std::memory_order_relaxed);
 
-  std::vector<bool> changed(num_inputs(), true);
-  TryPropagate(now, changed);
+  if (config_.propagate_punctuations) {
+    std::vector<uint32_t> unblocked;
+    FullPropagationList(~uint64_t{0}, &unblocked);
+    EmitPropagations(now, unblocked);
+    pending_unverified_ = 0;
+    CompactPending();
+  }
 
   for (size_t k = 0; k < num_inputs(); ++k) {
     states_[k]->RestoreMetrics(saved[k]);

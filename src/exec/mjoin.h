@@ -27,7 +27,19 @@
 // (core/local_graph.h): walk the plan's steps, at each step verify
 // that the joinable-value combinations accumulated so far are all
 // excluded by the target input's punctuation store, then extend the
-// joinable set T_t[Υ] through the target's state.
+// joinable set T_t[Υ] through the target's state. The fixpoint, the
+// layout and the expansion live in PurgeKernel (exec/purge_kernel.h),
+// shared with PurgeEngine.
+//
+// Sweeps are incremental (docs/PERF.md, "Delta purge"): a sweep checks
+// only the tuples whose verdict can have changed since the last one —
+// tuples join-connected to the new punctuations' seed values, tuples
+// join-connected to this sweep's purges, aborted checks, and (lazy and
+// none policies) unchecked arrivals — and finds pending propagations
+// and retirement candidates by value, not by scanning. One full scan
+// (ScanInput) remains for the first sweep after RestoreState, for
+// punctuations no index can locate candidates for (all-wildcard), and
+// for the test-only audit that runs it beside every delta sweep.
 
 #ifndef PUNCTSAFE_EXEC_MJOIN_H_
 #define PUNCTSAFE_EXEC_MJOIN_H_
@@ -35,6 +47,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/local_graph.h"
@@ -42,6 +55,7 @@
 #include "exec/checkpoint.h"
 #include "exec/operator.h"
 #include "exec/punctuation_store.h"
+#include "exec/purge_kernel.h"
 #include "exec/tuple_store.h"
 #include "query/cjq.h"
 #include "util/status.h"
@@ -61,7 +75,8 @@ struct MJoinConfig {
   /// Emit output punctuations for propagatable schemes.
   bool propagate_punctuations = true;
   /// Joinable-set size cap during removability checks; exceeding it
-  /// aborts the check conservatively (tuple stays).
+  /// aborts the check conservatively (tuple stays, counted in
+  /// OperatorMetrics::removability_aborts and re-checked every sweep).
   size_t max_joinable_set = 4096;
   /// Purge stored punctuations once partner punctuations prove them
   /// obsolete (paper Section 5.1, "punctuation purgeability"): a
@@ -83,7 +98,8 @@ class MJoinOperator : public JoinOperator {
   /// `inputs[k].streams` are the query streams covered by input k;
   /// `inputs[k].schemes` the punctuation schemes deliverable on it
   /// (for raw-stream inputs, RawAvailableSchemes). Covers must be
-  /// disjoint. Inputs whose operator-local state is not purgeable get
+  /// disjoint, and there are at most PurgeKernel::kMaxInputs inputs.
+  /// Inputs whose operator-local state is not purgeable get
   /// no purge plan: the operator still runs, its state just grows —
   /// exactly the unsafe behavior the safety checker exists to reject,
   /// kept executable for the paper's unbounded-state experiments.
@@ -128,7 +144,7 @@ class MJoinOperator : public JoinOperator {
   /// \brief Whether input k's state is purgeable (Theorem 3 on the
   /// operator-local generalized graph).
   bool InputPurgeable(size_t input) const {
-    return input_purgeable_[input];
+    return kernel_.purgeable(input);
   }
   /// \brief Streams covered by the operator output (sorted).
   const std::vector<size_t>& output_streams() const {
@@ -166,55 +182,43 @@ class MJoinOperator : public JoinOperator {
   /// aligner votes a crash discards (docs/RECOVERY.md).
   void RecheckPropagations(int64_t now);
 
+  /// \brief Test-only audit: from now on every sweep also runs the full
+  /// scan beside the delta one and compares, per sweep, the purged
+  /// slots of every input, the retired punctuations, and the in-order
+  /// list of propagated punctuations. The full scan's counter effects
+  /// are undone, so counters read as without the audit.
+  void EnablePurgeAuditForTesting() { audit_ = true; }
+  /// \brief Sweeps (or propagation steps) on which the audit found the
+  /// delta and the full scan disagreeing; the first disagreement is
+  /// described by purge_audit_report().
+  uint64_t purge_audit_mismatches() const { return audit_mismatches_; }
+  const std::string& purge_audit_report() const { return audit_report_; }
+
  protected:
   void OnObserverSet() override;
 
  private:
-  // A join predicate localized to operator inputs and composite
-  // offsets.
-  struct LocalPredicate {
-    size_t input_a, offset_a;
-    size_t input_b, offset_b;
-  };
-  // One generalized edge in composite-offset space. Removability runs
-  // a fixpoint over ALL of these (the chained purge strategy is
-  // existential: any instantiated alternative may close an input).
-  struct RuntimeEdge {
-    size_t target_input = 0;
-    std::vector<size_t> target_offsets;  // punctuatable attrs (composite)
-    // Per target offset: where the required values come from.
-    struct Source {
-      size_t input;
-      size_t offset;
-    };
-    std::vector<Source> sources;
-    std::vector<size_t> source_inputs;  // sorted, deduplicated
-  };
   struct PendingPropagation {
     size_t input;
     Punctuation punctuation;  // in the input's composite space
+    bool live = true;         // false once emitted (a hole until compaction)
+  };
+  // One vertex of the key-level walk over the live join graph: the
+  // bucket of input `input` whose attribute `offset` equals *value.
+  struct WalkKey {
+    uint32_t input;
+    uint32_t offset;
+    const Value* value;
+  };
+  struct KeySlot {
+    const Value* value = nullptr;
+    uint32_t input = 0;
+    uint32_t offset = 0;
+    uint32_t stamp = 0;
   };
 
   MJoinOperator() = default;
 
-  size_t OffsetOf(size_t input, size_t stream, size_t attr) const;
-  /// Extends each partial assignment of `in` through input v's state
-  /// into `out` (cleared first), batch-at-a-time: the probe-key hashes
-  /// of the whole frontier are gathered into one column, SIMD run
-  /// detection resolves one index bucket per same-key run (runs span
-  /// source rows, not just one row's children), and the verification
-  /// predicates run as a cached-hash prefilter over the (row,
-  /// candidate) pair list before exact Value equality touches the
-  /// survivors (cross product when no probe predicate applies). `in`
-  /// and `out` must be distinct; callers ping-pong the two
-  /// per-operator scratch buffers.
-  void Expand(size_t v, const BatchFrontier& in, BatchFrontier* out) const;
-  /// Compacts the (pair_rows_, pair_cands_) pair list in place to the
-  /// pairs satisfying every predicate in verify_scratch_: per
-  /// predicate, SIMD equal-hash prefilter, then exact equality on the
-  /// survivors (order-preserving, so emission order matches a per-row
-  /// verify loop).
-  void VerifyPairs(size_t v, const BatchFrontier& in) const;
   /// Assembles one output row per frontier row via copy_plan_ into the
   /// flat out_values_ staging area, wraps them as view tuples in
   /// out_batch_, and emits the whole batch (EmitBatch). Timestamps come
@@ -225,24 +229,100 @@ class MJoinOperator : public JoinOperator {
   /// Summed capacities of every expansion scratch structure; growth
   /// across a push/sweep is charged to StateMetrics::expand_allocs.
   size_t ExpandScratchCapacity() const;
-  bool Removable(size_t input, const Tuple& tuple, int64_t now);
+  /// One counted removability check (aborts counted too).
+  PurgeKernel::Verdict Check(size_t input, const Tuple& tuple, int64_t now);
+  /// Eager arrival: drops the tuple when the chained purge plan already
+  /// closes it, stores it otherwise; an aborted check is stored and
+  /// queued for the next sweep.
+  void StoreChecked(size_t input, const Tuple& tuple, int64_t now);
   void ProduceResults(size_t input, const Tuple& tuple, int64_t ts);
-  /// Re-checks pending propagations for the inputs whose punctuation
-  /// store or join state changed.
-  void TryPropagate(int64_t now, const std::vector<bool>& changed_inputs);
-  /// Section 5.1 punctuation purgeability pass (see MJoinConfig).
-  void PurgeObsoletePunctuations(int64_t now);
+
+  // --- Sweep (delta and full) ---
+  /// The sweep proper; `trigger` is the punctuation whose push runs it
+  /// (eager, or the lazy batch's last one), nullptr for forced sweeps.
+  void RunSweep(int64_t now, size_t trigger_input,
+                const Punctuation* trigger);
+  /// Runs fn with every counter it bumps restored afterwards: the
+  /// audit's full scan must not show in the metrics.
+  template <typename Fn>
+  void Quietly(Fn&& fn);
+  /// Decides this sweep's candidates: carried slots, unchecked
+  /// arrivals, and the walk from every new punctuation's seeds; falls
+  /// back to scanning an input whose candidates reach its live count.
+  /// Returns false when the sweep must be a full one.
+  bool CollectCandidates(int64_t now, size_t trigger_input,
+                         const Punctuation* trigger);
+  /// Queues the seed keys of punctuation `p` on input j: for every edge
+  /// into j whose target signature covers p's constrained attributes,
+  /// the source values that instantiate it. False when no index can
+  /// locate p's candidates (all-wildcard).
+  bool QueueSeeds(size_t j, const Punctuation& p);
+  /// Checks one stored tuple, appending its slot to *removable or
+  /// *aborted by verdict.
+  void CheckSlot(size_t k, size_t slot, const Tuple& t, int64_t now,
+                 std::vector<size_t>* removable,
+                 std::vector<size_t>* aborted);
+  /// The full scan: every live tuple of input k, in live order.
+  void ScanInput(size_t k, int64_t now, std::vector<size_t>* removable,
+                 std::vector<size_t>* aborted);
+  /// Walks the live join graph from the queued keys (key-deduplicated
+  /// breadth-first search over the TupleStore buckets), calling
+  /// visit(input, slot) for every live tuple reached, until stop().
+  template <typename Visit, typename Stop>
+  void WalkJoinGraph(Visit&& visit, Stop&& stop);
+  /// Starts a walk: empties the queue and the visited-key set.
+  void BeginWalk();
+  void QueueKey(size_t input, size_t offset, const Value* value);
+  void GrowKeySlots();
+  void QueueNeighbors(size_t input, const Tuple& tuple);
+  /// Candidate of this sweep / carried into the next (deduplicated by
+  /// slot marks; switch the input to a scan once they reach its live
+  /// count).
+  void AddCandidate(size_t input, size_t slot);
+  void AddCarry(size_t input, size_t slot);
+  uint32_t& Mark(size_t input, size_t slot);
+
+  // --- Propagation (paper Sec 4.2's propagation rule) ---
+  size_t PendingKeyHash(size_t input, const Punctuation& p) const;
+  /// Appends a pending entry for (input, p) unless one is pending.
+  void AddPending(size_t input, const Punctuation& p);
+  /// Position of the pending entry equal to (input, p), or -1.
+  long FindPending(size_t input, const Punctuation& p) const;
+  /// Collects the pending entries a purged tuple of `input` matches.
+  void NotePurgedForPropagation(size_t input, const Tuple& tuple);
+  /// True while a stored tuple still matches the pending entry.
+  bool PropagationBlocked(const PendingPropagation& entry);
+  /// Checks the entries at prop_hits_ (plus every entry of an input
+  /// whose entries are unverified since a restore, when it is in
+  /// `changed`) and emits the unblocked ones in arrival order.
+  void PropagateDelta(int64_t now, uint64_t changed);
+  /// The full rule: every entry of a changed input, in arrival order.
+  void FullPropagationList(uint64_t changed, std::vector<uint32_t>* out);
+  void EmitPropagations(int64_t now, const std::vector<uint32_t>& positions);
+  void CompactPending();
   Punctuation RebaseToOutput(size_t input, const Punctuation& p) const;
+
+  // --- Retirement (Section 5.1 punctuation purgeability) ---
+  bool Retirable(size_t v, const Punctuation& p, int64_t now);
+  /// Retirement candidates a new punctuation opens: itself, and the
+  /// partner punctuations a single-attribute one may make obsolete.
+  /// False for an all-wildcard one (no index locates its candidates).
+  bool NoteRetirementTrigger(size_t input, const Punctuation& p);
+  /// Queues the partner punctuations a purged tuple may unblock
+  /// (condition (b)), skipped when condition (a) cannot hold for them.
+  void NotePurgedForRetirement(size_t input, const Tuple& tuple, int64_t now);
+  /// The full rule: every stored punctuation, evaluated on a snapshot.
+  void FullRetirementList(
+      int64_t now, std::vector<std::pair<size_t, const Punctuation*>>* out);
+  void Retire(int64_t now, bool full);
+
+  void NoteAuditMismatch(const std::string& what);
 
   std::vector<LocalInput> inputs_;
   MJoinConfig config_;
+  PurgeKernel kernel_;
   std::vector<size_t> output_streams_;
   size_t output_width_ = 0;
-
-  // Per input: composite width and (stream, attr) -> offset map.
-  std::vector<size_t> widths_;
-  std::vector<std::vector<std::pair<size_t, size_t>>> offset_keys_;  // parallel
-  std::vector<std::vector<size_t>> offset_values_;
 
   // Output assembly: for each input, where its composite lands in the
   // output row (per covered stream segment).
@@ -251,51 +331,64 @@ class MJoinOperator : public JoinOperator {
   };
   std::vector<CopySegment> copy_plan_;
 
-  std::vector<LocalPredicate> predicates_;
-  // predicate indices touching each input.
-  std::vector<std::vector<size_t>> predicates_of_input_;
   // Per start input: the BFS expansion order over the predicate graph
   // (precomputed at Create so ProduceResults allocates nothing).
   std::vector<std::vector<size_t>> expand_orders_;
   uint64_t punctuations_purged_ = 0;
 
-  // Per-operator scratch, reused across arrivals/sweeps so the
-  // steady-state expansion and chained-purge loops are allocation-free
-  // (mutable: Expand is logically const). The operator is
-  // single-threaded (one shard worker), so no synchronization.
-  mutable BatchFrontier expand_bufs_[2];
-  mutable std::vector<size_t> verify_scratch_;
-  // Probe-key hash column over the frontier (lives across the whole
-  // run loop of one hop).
-  mutable std::vector<uint64_t> probe_hashes_;
-  // Live candidates of the current run's bucket, filtered once and
-  // replayed per row.
-  mutable std::vector<const Tuple*> run_cands_;
-  // (frontier row, candidate) pair list under verification, plus the
-  // per-predicate hash columns and survivor indices of the prefilter.
-  mutable std::vector<uint32_t> pair_rows_;
-  mutable std::vector<const Tuple*> pair_cands_;
-  mutable std::vector<uint64_t> verify_hashes_a_;
-  mutable std::vector<uint64_t> verify_hashes_b_;
-  mutable std::vector<uint32_t> filter_scratch_;
   // Batched result staging: flat output values (all rows built before
   // any view points into the vector) wrapped as view tuples.
   std::vector<Value> out_values_;
   TupleBatch out_batch_;
-  std::vector<Tuple> combos_scratch_;
-  std::vector<size_t> sweep_scratch_;
 
   std::vector<std::unique_ptr<TupleStore>> states_;
   std::vector<std::unique_ptr<PunctuationStore>> punct_stores_;
-  std::vector<RuntimeEdge> runtime_edges_;
-  std::vector<bool> input_purgeable_;
 
   // Schemes propagatable on the output, per input, as composite
   // constrained-offset signatures.
   std::vector<std::vector<std::vector<size_t>>> propagatable_signatures_;
-  std::vector<PendingPropagation> pending_propagations_;
+  // Pending propagations in arrival order (emitted entries leave holes
+  // until CompactPending), indexed by (input, constant projection).
+  std::vector<PendingPropagation> pending_;
+  size_t pending_live_ = 0;
+  std::unordered_multimap<size_t, uint32_t> pending_index_;
+  // Per input: pending entries not verified since a restore; the
+  // input's next change re-checks all of them (the full rule).
+  uint64_t pending_unverified_ = 0;
+  std::vector<uint32_t> prop_hits_;
 
   size_t punctuations_since_sweep_ = 0;
+
+  // Delta sweep state. Slot marks: mark == sweep_stamp_ means
+  // "candidate of the running sweep", sweep_stamp_ + 1 "carried into
+  // the next one".
+  bool full_sweep_due_ = false;
+  std::vector<std::pair<size_t, Punctuation>> unswept_puncts_;
+  std::vector<size_t> swept_slot_end_;
+  int64_t unswept_insert_max_ts_ = INT64_MIN;
+  int64_t last_sweep_now_ = INT64_MIN;
+  uint32_t sweep_stamp_ = 1;
+  std::vector<std::vector<uint32_t>> marks_;
+  std::vector<std::vector<size_t>> candidates_;
+  std::vector<std::vector<size_t>> carried_;
+  uint64_t scan_all_ = 0;        // inputs scanned in full this sweep
+  uint64_t carry_scan_all_ = 0;  // ... and in the next one
+  uint64_t purgeable_mask_ = 0;
+  std::vector<size_t> purged_;
+  std::vector<size_t> aborted_;
+  std::vector<WalkKey> walk_queue_;
+  std::vector<KeySlot> key_slots_;
+  size_t key_count_ = 0;
+  uint32_t key_stamp_ = 0;
+  // Retirement candidates (input, stored punctuation); `retire_full_`
+  // asks for the full rule instead.
+  std::vector<std::pair<size_t, const Punctuation*>> retire_cands_;
+  bool retire_full_ = false;
+  std::vector<size_t> retire_attr_;  // the one partner attribute tested
+
+  bool audit_ = false;
+  uint64_t audit_mismatches_ = 0;
+  std::string audit_report_;
 };
 
 }  // namespace punctsafe

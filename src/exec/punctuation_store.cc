@@ -6,45 +6,39 @@ namespace punctsafe {
 
 namespace {
 
-// Projects the constants of a punctuation, in its constrained-attr
+// Projects the constants of a punctuation, in ascending attribute
 // order, into a Tuple usable as a hash key.
-Tuple ConstantsOf(const Punctuation& p, const std::vector<size_t>& attrs) {
+Tuple ConstantsOf(const Punctuation& p) {
   std::vector<Value> values;
-  values.reserve(attrs.size());
-  for (size_t a : attrs) values.push_back(p.pattern(a).constant());
+  for (const Pattern& pattern : p.patterns()) {
+    if (!pattern.is_wildcard()) values.push_back(pattern.constant());
+  }
   return Tuple(std::move(values));
 }
 
 }  // namespace
 
 bool PunctuationStore::Add(const Punctuation& punctuation, int64_t now) {
-  std::vector<size_t> attrs = punctuation.ConstrainedAttrs();
-  Group* group = nullptr;
-  for (auto& g : groups_) {
-    if (g.attrs == attrs) {
-      group = &g;
-      break;
-    }
-  }
+  // GroupOf also leaves the constants' projection in key_scratch_.
+  Group* group = const_cast<Group*>(GroupOf(punctuation));
   if (group == nullptr) {
-    groups_.push_back({attrs, {}});
+    groups_.push_back({punctuation.ConstrainedAttrs(), {}});
     group = &groups_.back();
   }
-  Tuple key = ConstantsOf(punctuation, attrs);
-  auto [it, inserted] = group->by_values.try_emplace(
-      std::move(key), Entry{punctuation, now});
-  if (!inserted) {
+  auto it = group->by_values.find(ProjectedKey{&key_scratch_});
+  if (it != group->by_values.end()) {
     it->second.arrival = now;  // refresh lifespan of a duplicate
     return false;
   }
+  group->by_values.emplace(ConstantsOf(punctuation), Entry{punctuation, now});
   ++size_;
   high_water_ = std::max(high_water_, size_);
   return true;
 }
 
-bool PunctuationStore::CoversSubspace(const std::vector<size_t>& attrs,
-                                      std::span<const Value> values,
-                                      int64_t now) const {
+template <typename ValueAt>
+bool PunctuationStore::Covers(const std::vector<size_t>& attrs,
+                              ValueAt value_at, int64_t now) const {
   for (const Group& group : groups_) {
     // Group applies iff its constrained attrs are a subset of `attrs`.
     key_scratch_.clear();
@@ -55,7 +49,7 @@ bool PunctuationStore::CoversSubspace(const std::vector<size_t>& attrs,
         subset = false;
         break;
       }
-      key_scratch_.push_back(&values[it - attrs.begin()]);
+      key_scratch_.push_back(value_at(it - attrs.begin()));
     }
     if (!subset) continue;
     auto it = group.by_values.find(ProjectedKey{&key_scratch_});
@@ -64,6 +58,18 @@ bool PunctuationStore::CoversSubspace(const std::vector<size_t>& attrs,
     }
   }
   return false;
+}
+
+bool PunctuationStore::CoversSubspace(const std::vector<size_t>& attrs,
+                                      std::span<const Value> values,
+                                      int64_t now) const {
+  return Covers(attrs, [&](size_t i) { return &values[i]; }, now);
+}
+
+bool PunctuationStore::CoversSubspace(const std::vector<size_t>& attrs,
+                                      std::span<const Value* const> values,
+                                      int64_t now) const {
+  return Covers(attrs, [&](size_t i) { return values[i]; }, now);
 }
 
 bool PunctuationStore::ExcludesTuple(const Tuple& tuple, int64_t now) const {
@@ -103,21 +109,41 @@ size_t PunctuationStore::ExpireBefore(int64_t now) {
   return dropped;
 }
 
-size_t PunctuationStore::RemoveIf(
-    const std::function<bool(const Punctuation&)>& pred) {
-  size_t removed = 0;
-  for (Group& group : groups_) {
-    for (auto it = group.by_values.begin(); it != group.by_values.end();) {
-      if (pred(it->second.punctuation)) {
-        it = group.by_values.erase(it);
-        ++removed;
-      } else {
-        ++it;
-      }
+const PunctuationStore::Group* PunctuationStore::GroupOf(
+    const Punctuation& p) const {
+  key_scratch_.clear();
+  for (size_t a = 0; a < p.arity(); ++a) {
+    if (!p.pattern(a).is_wildcard()) {
+      key_scratch_.push_back(&p.pattern(a).constant());
     }
   }
-  size_ -= removed;
-  return removed;
+  for (const Group& group : groups_) {
+    if (group.attrs.size() != key_scratch_.size()) continue;
+    // Same size and every group attr constrained in p: same signature.
+    if (std::all_of(group.attrs.begin(), group.attrs.end(), [&](size_t a) {
+          return a < p.arity() && !p.pattern(a).is_wildcard();
+        })) {
+      return &group;
+    }
+  }
+  return nullptr;
+}
+
+const Punctuation* PunctuationStore::Find(const Punctuation& p) const {
+  const Group* group = GroupOf(p);
+  if (group == nullptr) return nullptr;
+  auto it = group->by_values.find(ProjectedKey{&key_scratch_});
+  return it == group->by_values.end() ? nullptr : &it->second.punctuation;
+}
+
+bool PunctuationStore::Remove(const Punctuation& p) {
+  Group* group = const_cast<Group*>(GroupOf(p));
+  if (group == nullptr) return false;
+  auto it = group->by_values.find(ProjectedKey{&key_scratch_});
+  if (it == group->by_values.end()) return false;
+  group->by_values.erase(it);  // p may alias the erased entry: unused below
+  --size_;
+  return true;
 }
 
 void PunctuationStore::ForEach(

@@ -21,6 +21,7 @@
 #ifndef PUNCTSAFE_EXEC_PUNCTUATION_STORE_H_
 #define PUNCTSAFE_EXEC_PUNCTUATION_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -48,6 +49,12 @@ class PunctuationStore {
   /// future tuple of the subspace {attrs[i] = values[i], rest = *}.
   bool CoversSubspace(const std::vector<size_t>& attrs,
                       std::span<const Value> values, int64_t now) const;
+  /// \brief The same test over projected Value pointers (values[i] is
+  /// the value of attrs[i]): the removability fixpoint projects stored
+  /// tuples this way without copying a Value.
+  bool CoversSubspace(const std::vector<size_t>& attrs,
+                      std::span<const Value* const> values,
+                      int64_t now) const;
   // std::span has no initializer_list constructor; keep brace-list
   // call sites working.
   bool CoversSubspace(const std::vector<size_t>& attrs,
@@ -66,9 +73,38 @@ class PunctuationStore {
   /// returns how many were dropped. No-op without a lifespan.
   size_t ExpireBefore(int64_t now);
 
-  /// \brief Removes stored punctuations selected by the predicate
-  /// (punctuation purgeability, Section 5.1); returns count removed.
-  size_t RemoveIf(const std::function<bool(const Punctuation&)>& pred);
+  /// \brief The stored punctuation equal to `punctuation` (expired
+  /// included), or nullptr. The pointer stays valid until that entry is
+  /// removed.
+  const Punctuation* Find(const Punctuation& punctuation) const;
+
+  /// \brief Removes one stored punctuation (equal patterns); returns
+  /// whether it was stored.
+  bool Remove(const Punctuation& punctuation);
+
+  /// \brief Calls fn for every stored punctuation whose pattern at
+  /// `attr` is the constant `value` (expired included). A group whose
+  /// only constrained attribute is `attr` answers with one hash
+  /// lookup; groups constraining further attributes are scanned.
+  template <typename Fn>
+  void ForEachWithConstant(size_t attr, const Value& value, Fn&& fn) const {
+    for (const Group& group : groups_) {
+      if (group.attrs.size() == 1) {
+        if (group.attrs[0] != attr) continue;
+        key_scratch_.assign(1, &value);
+        auto it = group.by_values.find(ProjectedKey{&key_scratch_});
+        if (it != group.by_values.end()) fn(it->second.punctuation);
+        continue;
+      }
+      auto pos = std::find(group.attrs.begin(), group.attrs.end(), attr);
+      if (pos == group.attrs.end()) continue;
+      const size_t i = static_cast<size_t>(pos - group.attrs.begin());
+      for (const auto& [key, entry] : group.by_values) {
+        if (key.at(i) == value) fn(entry.punctuation);
+      }
+    }
+  }
+
 
   size_t size() const { return size_; }
   size_t high_water() const { return high_water_; }
@@ -129,6 +165,15 @@ class PunctuationStore {
   bool Expired(const Entry& e, int64_t now) const {
     return lifespan_.has_value() && e.arrival + *lifespan_ <= now;
   }
+  // The group holding punctuations with exactly p's constrained
+  // attributes (nullptr if none); fills key_scratch_ with p's
+  // constants.
+  const Group* GroupOf(const Punctuation& p) const;
+  // Shared body of the CoversSubspace overloads; value_at(i) yields
+  // the value of attrs[i].
+  template <typename ValueAt>
+  bool Covers(const std::vector<size_t>& attrs, ValueAt value_at,
+              int64_t now) const;
 
   std::optional<int64_t> lifespan_;
   std::vector<Group> groups_;

@@ -21,9 +21,8 @@
 #include <optional>
 #include <vector>
 
-#include "core/local_graph.h"
-#include "exec/batch_frontier.h"
 #include "exec/punctuation_store.h"
+#include "exec/purge_kernel.h"
 #include "exec/tuple_store.h"
 #include "obs/observability.h"
 #include "query/cjq.h"
@@ -64,7 +63,7 @@ class PurgeEngine {
 
   /// \brief Theorem 1/3 verdict per stream (static).
   bool StreamPurgeable(size_t stream) const {
-    return stream_purgeable_[stream];
+    return kernel_.purgeable(stream);
   }
 
   /// \brief Runs a purge pass: every stored tuple whose generalized
@@ -75,6 +74,10 @@ class PurgeEngine {
   /// \brief Whether a specific stored tuple is releasable right now
   /// (exposed for tests and for operators that pull).
   bool Removable(size_t stream, const Tuple& tuple, int64_t now) const;
+
+  /// \brief Removability checks abandoned because the joinable set
+  /// outgrew max_joinable_set (the tuple was conservatively kept).
+  uint64_t removability_aborts() const { return removability_aborts_; }
 
   size_t TotalLiveTuples() const;
   size_t live_count(size_t stream) const {
@@ -89,34 +92,16 @@ class PurgeEngine {
  private:
   PurgeEngine() = default;
 
-  /// Extends each partial assignment of `in` through stream v's state
-  /// into `out` (cleared first), batch-at-a-time over the columnar
-  /// frontier: one probe-hash gather, SIMD run detection, one bucket
-  /// resolution per same-key run (same shape as MJoinOperator::Expand,
-  /// minus the prefiltered verification — chained-purge frontiers stay
-  /// small, so exact per-pair checks win). `in` and `out` must be
-  /// distinct buffers.
-  void Expand(size_t v, const BatchFrontier& in, BatchFrontier* out) const;
-
-  ContinuousJoinQuery query_;
   PurgeEngineConfig config_;
-  std::vector<LocalGpgEdge> edges_;
-  // Per edge: the target-side punctuatable attrs, extracted once at
-  // Create (Removable used to rebuild this vector per edge per check).
-  std::vector<std::vector<size_t>> edge_target_attrs_;
-  std::vector<bool> stream_purgeable_;
+  // Layout, edges, expansion and the removability fixpoint, shared
+  // with MJoinOperator (exec/purge_kernel.h).
+  PurgeKernel kernel_;
   std::vector<std::unique_ptr<TupleStore>> states_;
   std::vector<std::unique_ptr<PunctuationStore>> punct_stores_;
   obs::OperatorObs* obs_ = nullptr;
 
-  // Reused scratch for the chained-purge fixpoint (mutable: Removable
-  // is const). The engine is single-threaded, like the operators.
-  mutable BatchFrontier expand_bufs_[2];
-  mutable std::vector<size_t> verify_scratch_;
-  mutable std::vector<uint64_t> probe_hashes_;
-  mutable std::vector<const Tuple*> run_cands_;
-  mutable std::vector<Tuple> combos_scratch_;
-  mutable std::vector<size_t> sweep_scratch_;
+  mutable uint64_t removability_aborts_ = 0;
+  std::vector<size_t> sweep_scratch_;
 };
 
 }  // namespace punctsafe

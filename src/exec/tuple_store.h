@@ -113,6 +113,12 @@ class TupleStore {
     return slot < live_.size() && live_[slot];
   }
   const Tuple& At(size_t slot) const { return handles_[slot]; }
+  /// \brief One past the highest slot ever handed out. Slot ids grow
+  /// monotonically and are never reused, so [mark, slot_end()) is
+  /// exactly what was inserted since slot_end() read `mark`.
+  size_t slot_end() const { return handles_.size(); }
+  /// \brief Position of a live slot in ForEachLive order.
+  size_t live_position(size_t slot) const { return pos_in_live_[slot]; }
 
   size_t live_count() const { return live_count_; }
   const StateMetrics& metrics() const { return metrics_; }

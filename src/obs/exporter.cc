@@ -138,6 +138,14 @@ void AppendOperator(std::string* out, const OperatorObsEntry& e,
   AppendKv(out, "puncts_propagated",
            e.op_metrics.punctuations_propagated, &f);
   AppendKv(out, "purge_sweeps", e.op_metrics.purge_sweeps, &f);
+  AppendKv(out, "removability_checks", e.op_metrics.removability_checks,
+           &f);
+  // A nonzero abort count means some tuple a safe verdict promised to
+  // purge is being kept because its joinable set outgrew the cap.
+  AppendKv(out, "removability_aborts", e.op_metrics.removability_aborts,
+           &f);
+  AppendKv(out, "propagation_checks", e.op_metrics.propagation_checks, &f);
+  AppendKv(out, "retirement_checks", e.op_metrics.retirement_checks, &f);
   AppendKv(out, "puncts_live", e.op_metrics.punctuations_live, &f);
   // Routing / backpressure / aligner gauges.
   AppendKv(out, "routed_tuples", e.routed_tuples, &f);

@@ -387,17 +387,14 @@ Result<Punctuation> ParsePunctuationTokens(
   return Punctuation(std::move(patterns));
 }
 
-std::string FormatValue(const Value& v) {
-  // Value::ToString already renders strings double-quoted — the shape
-  // ParseValueToken strips back off — and scalars bare.
-  return v.ToString();
-}
-
 std::string FormatResultLine(const std::string& id, const Tuple& t) {
-  std::string out = StrCat("RESULT ", id);
+  // One buffer for the whole line: each value appends in place.
+  std::string out;
+  out.reserve(8 + id.size() + 12 * t.size());
+  out.append("RESULT ").append(id);
   for (const Value& v : t.values()) {
-    out += ' ';
-    out += FormatValue(v);
+    out.push_back(' ');
+    v.AppendTo(&out);
   }
   return out;
 }

@@ -68,11 +68,9 @@ Result<Punctuation> ParsePunctuationTokens(
     const Schema& schema, const std::vector<std::string>& tokens,
     size_t begin);
 
-/// \brief One value in protocol form (strings double-quoted — the
-/// shape ParseValueToken accepts back).
-std::string FormatValue(const Value& v);
-
-/// \brief "RESULT <id> <v>..." line for a subscribed result tuple.
+/// \brief "RESULT <id> <v>..." line for a subscribed result tuple
+/// (values as Value::ToString renders them: strings double-quoted —
+/// the shape ParseValueToken accepts back — and scalars bare).
 std::string FormatResultLine(const std::string& id, const Tuple& t);
 
 /// \brief "ERR <Code>: <message>" with newlines flattened to "; ".

@@ -244,12 +244,17 @@ std::vector<std::pair<std::string, std::string>> QueryRegistry::Stats() const {
     size_t live = entry.rq.is_parallel()
                       ? entry.rq.parallel_executor->TotalLiveTuples()
                       : entry.rq.executor->TotalLiveTuples();
+    size_t live_puncts =
+        entry.rq.is_parallel()
+            ? entry.rq.parallel_executor->TotalLivePunctuations()
+            : entry.rq.executor->TotalLivePunctuations();
     out.emplace_back(
         StrCat("query.", id),
         StrCat("mode=", entry.rq.is_parallel() ? "parallel" : "serial",
                " tuples_in=", entry.tuples_in,
                " punctuations_in=", entry.punctuations_in,
-               " results=", results, " live_tuples=", live));
+               " results=", results, " live_tuples=", live,
+               " live_punctuations=", live_puncts));
   }
   // Snapshot the shared states, then drop the snapshot's handles
   // before counting sharers: use_count must see only query-held

@@ -69,10 +69,20 @@ struct RegistrationInfo {
 
 class QueryRegistry {
  public:
+  /// \brief The registry's default executor configuration: the
+  /// library defaults plus retirement of stored punctuations
+  /// (MJoinConfig::purge_punctuations), so a long-running server's
+  /// punctuation stores stay bounded by the open join values.
+  static ExecutorConfig DefaultConfig() {
+    ExecutorConfig config;
+    config.mjoin.purge_punctuations = true;
+    return config;
+  }
+
   /// \param default_config executor configuration applied to
   ///        registrations that do not override it (keep_results is
   ///        forced on — the registry owns result draining).
-  explicit QueryRegistry(ExecutorConfig default_config = {})
+  explicit QueryRegistry(ExecutorConfig default_config = DefaultConfig())
       : default_config_(std::move(default_config)) {}
 
   /// \brief Registers a stream schema (protocol `CREATE STREAM`).

@@ -1,6 +1,6 @@
 #include "stream/value.h"
 
-#include <sstream>
+#include <charconv>
 
 #include "util/logging.h"
 
@@ -67,23 +67,39 @@ std::string_view Value::AsString() const {
   return string_view();
 }
 
-std::string Value::ToString() const {
-  std::ostringstream out;
+void Value::AppendTo(std::string* out) const {
+  // std::to_chars appends without a stream or a locale; the output is
+  // byte-identical to the former std::ostringstream rendering (doubles
+  // in the default "%g" form: general notation, six significant
+  // digits; value_test pins it).
+  char buf[32];
   switch (type()) {
     case ValueType::kNull:
-      out << "null";
-      break;
-    case ValueType::kInt64:
-      out << payload_.i;
-      break;
-    case ValueType::kDouble:
-      out << payload_.d;
-      break;
+      out->append("null");
+      return;
+    case ValueType::kInt64: {
+      auto res = std::to_chars(buf, buf + sizeof(buf), payload_.i);
+      out->append(buf, res.ptr);
+      return;
+    }
+    case ValueType::kDouble: {
+      auto res = std::to_chars(buf, buf + sizeof(buf), payload_.d,
+                               std::chars_format::general, 6);
+      out->append(buf, res.ptr);
+      return;
+    }
     case ValueType::kString:
-      out << '"' << string_view() << '"';
-      break;
+      out->push_back('"');
+      out->append(string_view());
+      out->push_back('"');
+      return;
   }
-  return out.str();
+}
+
+std::string Value::ToString() const {
+  std::string out;
+  AppendTo(&out);
+  return out;
 }
 
 }  // namespace punctsafe

@@ -165,7 +165,11 @@ class Value {
   /// \brief The cached hash (computed at construction, O(1) here).
   size_t Hash() const { return hash_; }
 
+  /// \brief Renders the value: null, decimal integers, doubles as
+  /// printf "%g", strings double-quoted.
   std::string ToString() const;
+  /// \brief Appends ToString()'s text to *out (no temporary string).
+  void AppendTo(std::string* out) const;
 
  private:
   enum class Mode : uint8_t {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace punctsafe {
 namespace {
 
@@ -110,17 +112,33 @@ TEST(PunctuationStoreTest, NoLifespanNeverExpires) {
   EXPECT_TRUE(store.CoversSubspace({0}, {Value(1)}, 1'000'000));
 }
 
-TEST(PunctuationStoreTest, RemoveIf) {
+TEST(PunctuationStoreTest, FindRemoveAndLookupByConstant) {
   PunctuationStore store;
-  store.Add(Punctuation::OfConstants(1, {{0, Value(1)}}), 0);
-  store.Add(Punctuation::OfConstants(1, {{0, Value(2)}}), 0);
-  size_t removed = store.RemoveIf([](const Punctuation& p) {
-    return p.pattern(0).constant() == Value(1);
-  });
-  EXPECT_EQ(removed, 1u);
-  EXPECT_EQ(store.size(), 1u);
+  const Punctuation one = Punctuation::OfConstants(2, {{0, Value(1)}});
+  const Punctuation pair =
+      Punctuation::OfConstants(2, {{0, Value(1)}, {1, Value(7)}});
+  store.Add(one, 0);
+  store.Add(Punctuation::OfConstants(2, {{0, Value(2)}}), 0);
+  store.Add(pair, 0);
+  ASSERT_NE(store.Find(one), nullptr);
+  EXPECT_EQ(*store.Find(one), one);
+  EXPECT_EQ(store.Find(Punctuation::OfConstants(2, {{1, Value(1)}})),
+            nullptr);
+  // Attribute 0 = 1: the single-attribute group by lookup, the pair
+  // group by scan.
+  std::vector<Punctuation> found;
+  store.ForEachWithConstant(0, Value(1),
+                            [&](const Punctuation& p) { found.push_back(p); });
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_TRUE((found[0] == one && found[1] == pair) ||
+              (found[0] == pair && found[1] == one));
+
+  EXPECT_TRUE(store.Remove(one));
+  EXPECT_FALSE(store.Remove(one));
+  EXPECT_EQ(store.size(), 2u);
   EXPECT_FALSE(store.CoversSubspace({0}, {Value(1)}, 0));
   EXPECT_TRUE(store.CoversSubspace({0}, {Value(2)}, 0));
+  EXPECT_TRUE(store.CoversSubspace({0, 1}, {Value(1), Value(7)}, 0));
 }
 
 TEST(PunctuationStoreTest, ForEachVisitsAll) {
@@ -136,7 +154,8 @@ TEST(PunctuationStoreTest, HighWaterSurvivesRemoval) {
   PunctuationStore store;
   store.Add(Punctuation::OfConstants(1, {{0, Value(1)}}), 0);
   store.Add(Punctuation::OfConstants(1, {{0, Value(2)}}), 0);
-  store.RemoveIf([](const Punctuation&) { return true; });
+  store.Remove(Punctuation::OfConstants(1, {{0, Value(1)}}));
+  store.Remove(Punctuation::OfConstants(1, {{0, Value(2)}}));
   EXPECT_EQ(store.size(), 0u);
   EXPECT_EQ(store.high_water(), 2u);
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "server/protocol.h"
 
@@ -445,6 +448,91 @@ TEST(ProtocolTest, SessionCommands) {
   EXPECT_FALSE(session.quit);
   EXPECT_EQ(Exec(&registry, &session, "QUIT")[0], "OK bye");
   EXPECT_TRUE(session.quit);
+}
+
+// `key=<number>` inside a STATS value (0 when absent).
+uint64_t StatField(const std::string& value, const std::string& key) {
+  size_t pos = value.find(" " + key + "=");
+  if (pos == std::string::npos) return 0;
+  return std::strtoull(value.c_str() + pos + key.size() + 2, nullptr, 10);
+}
+
+// A long-running server retires stored punctuations by default: over
+// 100k auctions (ids pushed through ProcessLine, 32 open at a time)
+// each query's punctuation stores stay bounded by the open auctions,
+// and every query still sees exactly the reference join.
+TEST(ProtocolTest, DefaultRegistryRetiresPunctuationsOverLongRuns) {
+  QueryRegistry registry;
+  ASSERT_TRUE(registry.default_config().mjoin.purge_punctuations);
+  Session session;
+  ASSERT_EQ(Exec(&registry, &session,
+                 "CREATE STREAM item sellerid:int itemid:int name:string "
+                 "initialprice:int")[0]
+                .rfind("OK", 0),
+            0u);
+  ASSERT_EQ(Exec(&registry, &session,
+                 "CREATE STREAM bid bidderid:int itemid:int increase:int")[0]
+                .rfind("OK", 0),
+            0u);
+  const std::vector<std::string> ids = {"q1", "q2"};
+  for (const std::string& id : ids) {
+    auto r = Exec(&registry, &session,
+                  "REGISTER QUERY " + id + " AS " + kAuctionSpec);
+    ASSERT_EQ(r[0].rfind("OK query", 0), 0u) << r[0];
+  }
+
+  constexpr int64_t kAuctions = 100000;
+  constexpr int64_t kOpen = 32;
+  auto close = [&](int64_t item) {
+    const std::string id = std::to_string(item);
+    const std::string bidder = std::to_string(item % 97);
+    ASSERT_EQ(
+        Exec(&registry, &session, "PUSH bid " + bidder + " " + id + " 5")[0],
+        "OK");
+    ASSERT_EQ(Exec(&registry, &session, "PUNCT bid * " + id + " *")[0], "OK");
+  };
+  std::vector<uint64_t> results(ids.size(), 0);
+  std::vector<int64_t> itemid_sum(ids.size(), 0);
+  size_t max_live_puncts = 0;
+  auto take = [&] {
+    for (size_t q = 0; q < ids.size(); ++q) {
+      auto taken = registry.TakeResults(ids[q]);
+      ASSERT_TRUE(taken.ok());
+      for (const Tuple& t : *taken) {
+        ASSERT_EQ(t.at(1), t.at(5));  // item.itemid = bid.itemid
+        ++results[q];
+        itemid_sum[q] += t.at(1).AsInt64();
+      }
+    }
+    for (const auto& [key, value] : registry.Stats()) {
+      if (key.rfind("query.", 0) != 0) continue;
+      max_live_puncts = std::max<size_t>(
+          max_live_puncts, StatField(value, "live_punctuations"));
+    }
+  };
+  for (int64_t item = 1; item <= kAuctions; ++item) {
+    const std::string id = std::to_string(item);
+    ASSERT_EQ(Exec(&registry, &session,
+                   "PUSH item 1 " + id + " \"lot\" 100")[0],
+              "OK");
+    ASSERT_EQ(Exec(&registry, &session, "PUNCT item * " + id + " * *")[0],
+              "OK");
+    if (item > kOpen) close(item - kOpen);
+    if (item % 1000 == 0) take();
+  }
+  for (int64_t item = kAuctions - kOpen + 1; item <= kAuctions; ++item) {
+    close(item);
+  }
+  ASSERT_EQ(Exec(&registry, &session, "DRAIN")[0], "OK drained");
+  take();
+
+  // At most the open auctions' item punctuations, plus the one just
+  // pushed before its auction closes.
+  EXPECT_LE(max_live_puncts, static_cast<size_t>(kOpen + 1));
+  for (size_t q = 0; q < ids.size(); ++q) {
+    EXPECT_EQ(results[q], static_cast<uint64_t>(kAuctions)) << ids[q];
+    EXPECT_EQ(itemid_sum[q], kAuctions * (kAuctions + 1) / 2) << ids[q];
+  }
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
+#include <string>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 namespace punctsafe {
 namespace {
@@ -74,6 +79,56 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value(7).ToString(), "7");
   EXPECT_EQ(Value("hi").ToString(), "\"hi\"");
   EXPECT_EQ(Value::Null().ToString(), "null");
+}
+
+// The text the server's RESULT lines carry. Pinned both literally and
+// against the std::ostringstream rendering it replaced ("%g" doubles).
+TEST(ValueTest, ToStringIsByteIdenticalToStreamRendering) {
+  auto streamed = [](const Value& v) {
+    std::ostringstream out;
+    switch (v.type()) {
+      case ValueType::kNull:
+        out << "null";
+        break;
+      case ValueType::kInt64:
+        out << v.AsInt64();
+        break;
+      case ValueType::kDouble:
+        out << v.AsDouble();
+        break;
+      case ValueType::kString:
+        out << '"' << v.AsString() << '"';
+        break;
+    }
+    return out.str();
+  };
+  const std::string long_text(40, 'x');  // beyond the inline buffer
+  const std::vector<std::pair<Value, std::string>> cases = {
+      {Value(int64_t{0}), "0"},
+      {Value(int64_t{-17}), "-17"},
+      {Value(std::numeric_limits<int64_t>::max()), "9223372036854775807"},
+      {Value(std::numeric_limits<int64_t>::min()), "-9223372036854775808"},
+      {Value(0.1), "0.1"},
+      {Value(2.5), "2.5"},
+      {Value(1e21), "1e+21"},
+      {Value(123456789.0), "1.23457e+08"},
+      {Value(1e-7), "1e-07"},
+      {Value(-0.0), "-0"},
+      {Value(std::numeric_limits<double>::infinity()), "inf"},
+      {Value(-std::numeric_limits<double>::infinity()), "-inf"},
+      {Value(std::numeric_limits<double>::quiet_NaN()), "nan"},
+      {Value::Null(), "null"},
+      {Value("short"), "\"short\""},
+      {Value(""), "\"\""},
+      {Value(long_text), "\"" + long_text + "\""},
+  };
+  for (const auto& [value, text] : cases) {
+    EXPECT_EQ(value.ToString(), text);
+    EXPECT_EQ(value.ToString(), streamed(value));
+    std::string appended = "x=";
+    value.AppendTo(&appended);
+    EXPECT_EQ(appended, "x=" + text);
+  }
 }
 
 TEST(ValueTest, TypeNames) {

@@ -79,6 +79,15 @@ run_config() {
     echo "=== [${name}] batched-expansion differential oracle (explicit) ==="
     run_explicit "${dir}/tests/expansion_differential_test"
   fi
+  # The delta-purge oracle (every sweep audited against the full
+  # scan; flat per-punctuation work from 64 to 6,400 open auctions;
+  # the zero-allocation arrival check) runs explicitly under ASan and
+  # UBSan: the delta sweep walks purged tuples' payloads up to the
+  # epoch boundary and indexes pending propagations by position.
+  if [ "${name}" = "asan" ] || [ "${name}" = "ubsan" ]; then
+    echo "=== [${name}] delta-purge oracle (explicit) ==="
+    run_explicit "${dir}/tests/delta_purge_test"
+  fi
   # The server end-to-end test (loopback sockets, background event
   # loop, multi-client fan-out) gets explicit runs on the plain leg
   # and under both sanitizers: ASan covers connection/result buffer

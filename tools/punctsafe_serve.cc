@@ -45,7 +45,7 @@ int Usage(int code) {
 
 int main(int argc, char** argv) {
   server::ServerConfig server_config;
-  ExecutorConfig exec_config;
+  ExecutorConfig exec_config = server::QueryRegistry::DefaultConfig();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     auto next_int = [&](long* out) {
