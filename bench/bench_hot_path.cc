@@ -77,6 +77,21 @@ struct MicroResult {
   uint64_t checksum = 0;      // anti-DCE
 };
 
+// Folds one micro run into the best-of: every rate is a
+// max-estimator; the checksum is the same for every run.
+void KeepBestMicro(MicroResult& best, const MicroResult& m) {
+  best.insert_mps = std::max(best.insert_mps, m.insert_mps);
+  best.insert_clustered_mps =
+      std::max(best.insert_clustered_mps, m.insert_clustered_mps);
+  best.insert_batch_mps = std::max(best.insert_batch_mps, m.insert_batch_mps);
+  best.probe_legacy_ps = std::max(best.probe_legacy_ps, m.probe_legacy_ps);
+  best.probe_each_ps = std::max(best.probe_each_ps, m.probe_each_ps);
+  best.probe_into_ps = std::max(best.probe_into_ps, m.probe_into_ps);
+  best.probe_batch_ps = std::max(best.probe_batch_ps, m.probe_batch_ps);
+  best.purge_ps = std::max(best.purge_ps, m.purge_ps);
+  best.checksum = m.checksum;
+}
+
 std::vector<Tuple> MakeRows(size_t n, size_t keys, bool string_keys) {
   std::vector<Tuple> rows;
   rows.reserve(n);
@@ -460,8 +475,27 @@ int Main(int argc, char** argv) {
     }
   }
 
-  MicroResult int_micro = RunMicro(store_tuples, keys, probe_iters, false);
-  MicroResult str_micro = RunMicro(store_tuples, keys, probe_iters, true);
+  // Every micro is best-of interleaved repetitions, the same
+  // convention as the end-to-end runs (rates are max-estimators; the
+  // interesting signal is what the path can do, not what the scheduler
+  // did to one run). The baseline gates compare these rates, and one
+  // run per micro (--iters 1, the CI setting) failed the 0.75 floor in
+  // 8 of 10 runs on a shared 4-vCPU box in slow machine phases, so the
+  // micros run at least kGateRuns times whatever --iters says.
+  constexpr size_t kGateRuns = 5;
+  const size_t micro_runs = std::max(iters, kGateRuns);
+  MicroResult int_micro, str_micro;
+  ExpandMicro int_expand, str_expand;
+  auto keep_best_expand = [](ExpandMicro& best, const ExpandMicro& e) {
+    best.row_ps = std::max(best.row_ps, e.row_ps);
+    best.batch_ps = std::max(best.batch_ps, e.batch_ps);
+  };
+  for (size_t i = 0; i < micro_runs; ++i) {
+    KeepBestMicro(int_micro, RunMicro(store_tuples, keys, probe_iters, false));
+    KeepBestMicro(str_micro, RunMicro(store_tuples, keys, probe_iters, true));
+    keep_best_expand(int_expand, RunExpandMicro(keys, probe_iters, false));
+    keep_best_expand(str_expand, RunExpandMicro(keys, probe_iters, true));
+  }
 
   // Batched ingestion must not lose to the per-row loop over the same
   // clustered rows (this pins the string-key regression the
@@ -475,19 +509,6 @@ int Main(int argc, char** argv) {
   };
   check_insert_gate("int", int_micro);
   check_insert_gate("str", str_micro);
-
-  // Best-of-iters per side, the same convention as the end-to-end
-  // runs (rates are max-estimators; the interesting signal is what
-  // the path can do, not what the scheduler did to one run).
-  ExpandMicro int_expand, str_expand;
-  auto keep_best_expand = [](ExpandMicro& best, const ExpandMicro& e) {
-    best.row_ps = std::max(best.row_ps, e.row_ps);
-    best.batch_ps = std::max(best.batch_ps, e.batch_ps);
-  };
-  for (size_t i = 0; i < iters; ++i) {
-    keep_best_expand(int_expand, RunExpandMicro(keys, probe_iters, false));
-    keep_best_expand(str_expand, RunExpandMicro(keys, probe_iters, true));
-  }
 
   bench::ChainFixture fx = bench::MakeChain(3);
   PlanShape shape = PlanShape::SingleMJoin(3);
@@ -533,7 +554,6 @@ int Main(int argc, char** argv) {
   // least kGateRuns interleaved runs whatever --iters says (at 5 the
   // ratio stayed within 0.73-0.83 there). The reported rates keep
   // their --iters best-of.
-  constexpr size_t kGateRuns = 5;
   RunStats gate_serial = serial, gate_pipelined = shard1;
   for (size_t i = iters; i < kGateRuns; ++i) {
     keep_best(gate_serial, RunSerialOnce(fx, shape, trace), i);

@@ -205,14 +205,13 @@ bool ReadTuple(Reader* r, Tuple* out) {
   // Each encoded value costs >= 1 byte, so `count <= n` bounds the
   // allocation before trusting a corrupted length.
   if (!r->U32(&count) || count > r->n) return false;
-  std::vector<Value> values;
-  values.reserve(count);
+  TupleBuilder tuple(count);
   for (uint32_t i = 0; i < count; ++i) {
     Value v;
     if (!ReadValue(r, &v)) return false;
-    values.push_back(std::move(v));
+    tuple.Append(std::move(v));
   }
-  *out = Tuple(std::move(values));
+  *out = tuple.Finish();
   return true;
 }
 

@@ -44,6 +44,7 @@ struct StateMetricsSnapshot {
   uint64_t index_compactions = 0;
   uint64_t insert_allocs = 0;
   uint64_t expand_allocs = 0;
+  uint64_t result_blocks = 0;
   uint64_t arena_blocks_reclaimed = 0;
   size_t arena_bytes_reserved = 0;
   size_t arena_bytes_live = 0;
@@ -63,6 +64,7 @@ struct StateMetricsSnapshot {
     index_compactions += other.index_compactions;
     insert_allocs += other.insert_allocs;
     expand_allocs += other.expand_allocs;
+    result_blocks += other.result_blocks;
     arena_blocks_reclaimed += other.arena_blocks_reclaimed;
     arena_bytes_reserved += other.arena_bytes_reserved;
     arena_bytes_live += other.arena_bytes_live;
@@ -100,6 +102,13 @@ struct StateMetrics {
   /// result" property pinned in tests alongside probe_allocs and
   /// insert_allocs.
   std::atomic<uint64_t> expand_allocs{0};
+  /// Result blocks MJoinOperator allocated to stage emitted rows, one
+  /// per emit whose rows a consumer kept from the previous emit (or
+  /// whose block outgrew its working set). Charged to the arrival
+  /// input. With results kept it is at most one per emitted batch, not
+  /// one per result; with none kept it stops moving once the block has
+  /// warmed up. Process-local like expand_allocs.
+  std::atomic<uint64_t> result_blocks{0};
   /// Arena blocks reclaimed wholesale at epoch boundaries (0 without
   /// an arena).
   std::atomic<uint64_t> arena_blocks_reclaimed{0};
@@ -119,6 +128,9 @@ struct StateMetrics {
   }
   void OnExpandAllocs(uint64_t count) {
     if (count != 0) expand_allocs.fetch_add(count, std::memory_order_relaxed);
+  }
+  void OnResultBlock() {
+    result_blocks.fetch_add(1, std::memory_order_relaxed);
   }
   void OnProbeAlloc() {
     probe_allocs.fetch_add(1, std::memory_order_relaxed);
@@ -179,6 +191,7 @@ struct StateMetrics {
     index_compactions.store(s.index_compactions, std::memory_order_relaxed);
     insert_allocs.store(s.insert_allocs, std::memory_order_relaxed);
     expand_allocs.store(s.expand_allocs, std::memory_order_relaxed);
+    result_blocks.store(s.result_blocks, std::memory_order_relaxed);
     arena_blocks_reclaimed.store(s.arena_blocks_reclaimed,
                                  std::memory_order_relaxed);
     arena_bytes_reserved.store(s.arena_bytes_reserved,
@@ -199,6 +212,7 @@ struct StateMetrics {
         index_compactions.load(std::memory_order_relaxed);
     s.insert_allocs = insert_allocs.load(std::memory_order_relaxed);
     s.expand_allocs = expand_allocs.load(std::memory_order_relaxed);
+    s.result_blocks = result_blocks.load(std::memory_order_relaxed);
     s.arena_blocks_reclaimed =
         arena_blocks_reclaimed.load(std::memory_order_relaxed);
     s.arena_bytes_reserved =

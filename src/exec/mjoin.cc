@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <new>
 
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -67,6 +68,8 @@ Result<std::unique_ptr<MJoinOperator>> MJoinOperator::Create(
     }
   }
   op->output_width_ = out;
+  op->rows_per_block_ = std::max<size_t>(
+      1, (kResultBlockBytes - sizeof(ValueBlock)) / (out * sizeof(Value)));
 
   // Expansion orders, one per arrival input: BFS over the predicate
   // graph from the input, then any unreached inputs (cross-product
@@ -154,6 +157,12 @@ size_t KeySlotHash(size_t input, size_t offset, const Value& value) {
 
 }  // namespace
 
+MJoinOperator::~MJoinOperator() {
+  for (StagingBlock& s : out_blocks_) {
+    if (s.block != nullptr) s.block->Unref();
+  }
+}
+
 void MJoinOperator::PushTuple(size_t input, const Tuple& tuple, int64_t ts) {
   PUNCTSAFE_CHECK(input < num_inputs());
   PUNCTSAFE_CHECK(tuple.size() == kernel_.width(input))
@@ -239,7 +248,7 @@ void MJoinOperator::PushBatch(size_t input, TupleBatch& batch) {
     kernel_.Expand(order[idx], *cur, nxt);
     std::swap(cur, nxt);
   }
-  EmitFrontier(*cur, &batch, 0);
+  EmitFrontier(input, *cur, &batch, 0);
 
   // Eager removability amortized the same way: with no punctuation
   // stored anywhere the chained purge plan cannot close any input
@@ -303,52 +312,77 @@ void MJoinOperator::ProduceResults(size_t input, const Tuple& tuple,
     kernel_.Expand(order[idx], *cur, nxt);
     std::swap(cur, nxt);
   }
-  EmitFrontier(*cur, nullptr, ts);
+  EmitFrontier(input, *cur, nullptr, ts);
 }
 
-void MJoinOperator::EmitFrontier(const BatchFrontier& frontier,
+void MJoinOperator::EmitFrontier(size_t input, const BatchFrontier& frontier,
                                  const TupleBatch* src, int64_t single_ts) {
   const size_t n = frontier.size();
   if (n == 0) return;
-  // Stage every output row into one flat Value area via the copy plan.
-  // ALL rows are built before any view Tuple points into out_values_ —
-  // the vector must not grow once views exist. Grow-only warm buffer
-  // (the TupleBatch pooling discipline): rows are overwritten by
-  // copy-assign, so slots past `needed` are just retained scratch —
-  // a clear+resize would default-construct and destroy every slot on
-  // every emit.
-  const size_t needed = n * output_width_;
-  if (out_values_.size() < needed) out_values_.resize(needed);
-  // Segment-major staging: one frontier column is walked sequentially
-  // per copy segment (its base pointer and the segment bounds stay in
-  // registers across the row loop), instead of re-resolving every
-  // input's cell for every row.
-  for (const CopySegment& seg : copy_plan_) {
-    const Tuple* const* col = frontier.column(seg.input);
-    Value* out = out_values_.data() + seg.to;
-    for (size_t r = 0; r < n; ++r, out += output_width_) {
-      const Tuple* part = col[r];
-      for (size_t i = 0; i < seg.len; ++i) {
-        out[i] = part->at(seg.from + i);
+  const size_t width = output_width_;
+  const size_t chunks = (n + rows_per_block_ - 1) / rows_per_block_;
+  if (out_blocks_.size() < chunks) out_blocks_.resize(chunks);
+  out_batch_.Clear();
+  for (size_t c = 0; c < chunks; ++c) {
+    const size_t first = c * rows_per_block_;
+    const size_t rows = std::min(rows_per_block_, n - first);
+    ValueBlock* block =
+        PrepareStagingBlock(input, &out_blocks_[c], rows * width);
+    // Segment-major staging: one frontier column is walked sequentially
+    // per copy segment (its base pointer and the segment bounds stay in
+    // registers across the row loop), instead of re-resolving every
+    // input's cell for every row. The copy plan covers each output
+    // position exactly once, so every slot of the rows is constructed.
+    Value* const base = block->slots();
+    for (const CopySegment& seg : copy_plan_) {
+      const Tuple* const* col = frontier.column(seg.input) + first;
+      Value* out = base + seg.to;
+      for (size_t r = 0; r < rows; ++r, out += width) {
+        const Tuple* part = col[r];
+        for (size_t i = 0; i < seg.len; ++i) {
+          new (out + i) Value(part->at(seg.from + i));
+        }
       }
     }
-  }
-  // View tuples only (never owning rows) through out_batch_, so its
-  // pooled slots stay capacity-free; consumers copy what they keep
-  // (EmitBatch contract).
-  out_batch_.Clear();
-  for (size_t r = 0; r < n; ++r) {
-    out_batch_.AppendView(
-        out_values_.data() + r * output_width_, output_width_,
-        src != nullptr ? src->timestamp(frontier.src_row(r)) : single_ts);
+    block->SetCount(rows * width);
+    // One reference per row, added in bulk; Clear drops them again, so
+    // what is left after EmitBatch is what consumers kept.
+    block->Ref(static_cast<uint32_t>(rows));
+    for (size_t r = 0; r < rows; ++r) {
+      out_batch_.Append(
+          Tuple(Tuple::AdoptRef{}, block, base + r * width, width),
+          src != nullptr ? src->timestamp(frontier.src_row(first + r))
+                         : single_ts);
+    }
   }
   EmitBatch(out_batch_);
   out_batch_.Clear();
 }
 
+ValueBlock* MJoinOperator::PrepareStagingBlock(size_t input, StagingBlock* s,
+                                               size_t needed) {
+  const bool sole = s->block != nullptr && s->block->refs() == 1;
+  if (sole && s->capacity >= needed) {
+    s->block->DestroyValues();
+    return s->block;
+  }
+  // Exactly sized when the old block is still held (it may sit in a
+  // consumer's results for a while), doubling up to the block limit
+  // when it merely outgrew its working set.
+  const size_t capacity =
+      sole ? std::min(std::max(needed, 2 * s->capacity),
+                      rows_per_block_ * output_width_)
+           : needed;
+  if (s->block != nullptr) s->block->Unref();
+  s->block = ValueBlock::Allocate(capacity);
+  s->capacity = capacity;
+  states_[input]->CountResultBlock();
+  return s->block;
+}
+
 size_t MJoinOperator::ExpandScratchCapacity() const {
-  return kernel_.ScratchCapacity() + out_values_.capacity() +
-         out_batch_.TupleCapacity();
+  return kernel_.ScratchCapacity() + out_batch_.TupleCapacity() +
+         out_blocks_.capacity();
 }
 
 void MJoinOperator::PushPunctuation(size_t input,

@@ -106,6 +106,15 @@ class MJoinOperator : public JoinOperator {
   static Result<std::unique_ptr<MJoinOperator>> Create(
       const ContinuousJoinQuery& query, std::vector<LocalInput> inputs,
       MJoinConfig config);
+  ~MJoinOperator() override;
+
+  /// \brief Result blocks stay at most this large, so a large emit
+  /// stages into several blocks instead of one for the whole emit (on
+  /// punctbench `chain_expand` one block per emit measured slower
+  /// punctuation sweeps; see docs/PERF.md "Result delivery").
+  static constexpr size_t kResultBlockBytes = 32 * 1024;
+  /// \brief Result rows staged per block (kResultBlockBytes / row size).
+  size_t result_rows_per_block() const { return rows_per_block_; }
 
   size_t num_inputs() const override { return inputs_.size(); }
   void PushTuple(size_t input, const Tuple& tuple, int64_t ts) override;
@@ -219,13 +228,28 @@ class MJoinOperator : public JoinOperator {
 
   MJoinOperator() = default;
 
+  // Result staging: rows [c * R, (c + 1) * R) of an emit, R =
+  // rows_per_block_, go into out_blocks_[c] and the rows in out_batch_
+  // share it (one reference each). A consumer that keeps rows keeps
+  // the block; when none did, the reference count is back to this
+  // operator's one after EmitBatch and the block is re-staged in place.
+  struct StagingBlock {
+    ValueBlock* block = nullptr;
+    size_t capacity = 0;  // values it has room for
+  };
+
   /// Assembles one output row per frontier row via copy_plan_ into the
-  /// flat out_values_ staging area, wraps them as view tuples in
-  /// out_batch_, and emits the whole batch (EmitBatch). Timestamps come
-  /// from `src` through the frontier's provenance column, or from
-  /// `single_ts` for tuple-at-a-time pushes (src == nullptr).
-  void EmitFrontier(const BatchFrontier& frontier, const TupleBatch* src,
-                    int64_t single_ts);
+  /// staging blocks, appends rows sharing them to out_batch_, and emits
+  /// the whole batch (EmitBatch). Timestamps come from `src` through
+  /// the frontier's provenance column, or from `single_ts` for
+  /// tuple-at-a-time pushes (src == nullptr).
+  void EmitFrontier(size_t input, const BatchFrontier& frontier,
+                    const TupleBatch* src, int64_t single_ts);
+  /// A block of `s` emptied for `needed` values: the old one re-staged
+  /// when this operator holds it alone and it is big enough, else a
+  /// fresh one (charged to `input`'s StateMetrics::result_blocks).
+  ValueBlock* PrepareStagingBlock(size_t input, StagingBlock* s,
+                                  size_t needed);
   /// Summed capacities of every expansion scratch structure; growth
   /// across a push/sweep is charged to StateMetrics::expand_allocs.
   size_t ExpandScratchCapacity() const;
@@ -336,9 +360,8 @@ class MJoinOperator : public JoinOperator {
   std::vector<std::vector<size_t>> expand_orders_;
   uint64_t punctuations_purged_ = 0;
 
-  // Batched result staging: flat output values (all rows built before
-  // any view points into the vector) wrapped as view tuples.
-  std::vector<Value> out_values_;
+  std::vector<StagingBlock> out_blocks_;
+  size_t rows_per_block_ = 1;
   TupleBatch out_batch_;
 
   std::vector<std::unique_ptr<TupleStore>> states_;

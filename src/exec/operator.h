@@ -30,12 +30,12 @@ class JoinOperator {
  public:
   using Emitter = std::function<void(const StreamElement&)>;
   /// Batch-granular result emission: the operator hands a whole staged
-  /// TupleBatch downstream in one call. The batch (and any view tuples
-  /// inside it — batched expansion stages rows as views over operator
-  /// scratch) is only valid DURING the call: consumers must copy what
-  /// they keep and must not hold references past their return. The
-  /// reference is mutable so consumers can build hash columns / filter
-  /// the selection in place.
+  /// TupleBatch downstream in one call. The batch object is only valid
+  /// DURING the call: consumers copy the rows they keep (a copy of a
+  /// result row shares the operator's result block — a reference-count
+  /// add, no value copy) and must not hold references to the batch
+  /// past their return. The reference is mutable so consumers can build
+  /// hash columns / filter the selection in place.
   using BatchEmitter = std::function<void(TupleBatch&)>;
 
   virtual ~JoinOperator() = default;

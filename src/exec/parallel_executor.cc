@@ -354,9 +354,7 @@ void ParallelExecutor::EmitBatchFromShard(size_t group_idx, size_t shard,
     num_results_.fetch_add(batch.size(), std::memory_order_relaxed);
     if (config_.keep_results) {
       std::lock_guard<std::mutex> lock(results_mu_);
-      for (size_t i = 0; i < batch.size(); ++i) {
-        kept_results_.push_back(batch.tuple(i));  // copy re-owns the view
-      }
+      batch.CopyRowsTo(&kept_results_);  // shares the result block
     }
     return;
   }
@@ -1381,8 +1379,10 @@ std::vector<Tuple> ParallelExecutor::kept_results() const {
 
 std::vector<Tuple> ParallelExecutor::TakeResults() {
   std::lock_guard<std::mutex> lock(results_mu_);
+  if (kept_results_.empty()) return {};  // see PlanExecutor::TakeResults
   std::vector<Tuple> out = std::move(kept_results_);
-  kept_results_.clear();
+  kept_results_ = std::vector<Tuple>();
+  kept_results_.reserve(out.size());
   return out;
 }
 

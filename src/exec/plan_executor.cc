@@ -89,13 +89,9 @@ Result<std::unique_ptr<PlanExecutor>> PlanExecutor::Create(
   if (config.batch_size > 1) {
     tree.root()->SetBatchEmitter([raw](TupleBatch& b) {
       raw->num_results_ += b.size();
-      if (raw->config_.keep_results) {
-        // The rows are views over operator scratch; the push_back copy
-        // re-owns them (same as the per-element path's e.tuple copy).
-        for (size_t i = 0; i < b.size(); ++i) {
-          raw->kept_results_.push_back(b.tuple(i));
-        }
-      }
+      // The rows share the operator's result block; keeping them takes
+      // one reference add per batch, no value copy.
+      if (raw->config_.keep_results) b.CopyRowsTo(&raw->kept_results_);
     });
   }
   exec->operators_ = std::move(tree.operators);

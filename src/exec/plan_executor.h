@@ -179,10 +179,17 @@ class PlanExecutor {
   /// (requires keep_results) — the subscriber-streaming drain of the
   /// ingestion server, which must not hold every result forever.
   /// num_results() stays cumulative. Snapshots taken after a take no
-  /// longer carry the drained results.
+  /// longer carry the drained results. The rows own their values (a
+  /// shared result block); they outlive further pushes, purges and the
+  /// executor itself.
   std::vector<Tuple> TakeResults() {
+    // An empty take keeps the warm capacity; a non-empty one leaves
+    // room for as many results again, so the sink does not regrow from
+    // zero (and move every row log2(n) times) on every take.
+    if (kept_results_.empty()) return {};
     std::vector<Tuple> out = std::move(kept_results_);
-    kept_results_.clear();
+    kept_results_ = std::vector<Tuple>();
+    kept_results_.reserve(out.size());
     return out;
   }
 

@@ -6,14 +6,12 @@ namespace punctsafe {
 
 namespace {
 
-// Projects the constants of a punctuation, in ascending attribute
-// order, into a Tuple usable as a hash key.
-Tuple ConstantsOf(const Punctuation& p) {
-  std::vector<Value> values;
-  for (const Pattern& pattern : p.patterns()) {
-    if (!pattern.is_wildcard()) values.push_back(pattern.constant());
-  }
-  return Tuple(std::move(values));
+// Copies a punctuation's constants projection (ascending attribute
+// order, as GroupOf leaves it) into a Tuple usable as a hash key.
+Tuple KeyOf(const std::vector<const Value*>& projection) {
+  TupleBuilder key(projection.size());
+  for (const Value* v : projection) key.Append(*v);
+  return key.Finish();
 }
 
 }  // namespace
@@ -30,7 +28,7 @@ bool PunctuationStore::Add(const Punctuation& punctuation, int64_t now) {
     it->second.arrival = now;  // refresh lifespan of a duplicate
     return false;
   }
-  group->by_values.emplace(ConstantsOf(punctuation), Entry{punctuation, now});
+  group->by_values.emplace(KeyOf(key_scratch_), Entry{punctuation, now});
   ++size_;
   high_water_ = std::max(high_water_, size_);
   return true;

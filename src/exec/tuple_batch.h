@@ -12,16 +12,14 @@
 //    moving tuple payloads — downstream stages iterate the selection,
 //    not the raw rows.
 //
-// Tuple slots are POOLED: Clear() resets the logical size but keeps
-// the constructed Tuples, so a recycled batch re-fills by
-// copy/move-assignment into warm slots — Tuple's copy-assign reuses
-// the slot's value-vector capacity, which makes the steady-state
-// build-append-clear cycle allocation-free for rows whose values fit
-// Value's inline buffer (this is what fixed the str-insert batch
-// regression: push_back-into-cleared-vector paid one tuple copy
-// allocation per append). Move-appending a *view* tuple keeps the
-// view (no payload copy); avoid mixing view moves and value copies
-// through the same batch, or the recycled slots' capacity churns.
+// Rows are Tuple handles (stream/tuple.h): appending a copy of an
+// owning row bumps its block's reference count instead of copying
+// values, so a recycled batch fills without allocating (the slot
+// vector's capacity survives Clear). Clear() destroys the handles and
+// so drops every row reference: MJoinOperator relies on that to see
+// its result staging block back at one reference and re-stage into it.
+// A view row (an arena-resident tuple) stays a view; it must stay
+// valid until the batch is consumed.
 //
 // A batch never mixes inputs and never contains punctuations: the
 // executors flush the open batch before forwarding a punctuation,
@@ -63,76 +61,52 @@ class TupleBatch {
 
   TupleBatch(const TupleBatch&) = default;
   TupleBatch& operator=(const TupleBatch&) = default;
-  // Explicit moves so the source's logical size resets with its moved
-  // vectors: a moved-from batch is empty and safely reusable (the
+  // Explicit moves so the source's hash-column tag resets with its
+  // moved vectors: a moved-from batch is empty and safely reusable (the
   // parallel emit staging moves a staged batch out and keeps filling
   // the same object).
   TupleBatch(TupleBatch&& other) noexcept
       : capacity_(other.capacity_),
-        size_(other.size_),
         tuples_(std::move(other.tuples_)),
         timestamps_(std::move(other.timestamps_)),
         selection_(std::move(other.selection_)),
         hashes_(std::move(other.hashes_)),
         hash_offset_(other.hash_offset_) {
-    other.size_ = 0;
     other.hash_offset_ = kNoHashColumn;
   }
   TupleBatch& operator=(TupleBatch&& other) noexcept {
     if (this != &other) {
       capacity_ = other.capacity_;
-      size_ = other.size_;
       tuples_ = std::move(other.tuples_);
       timestamps_ = std::move(other.timestamps_);
       selection_ = std::move(other.selection_);
       hashes_ = std::move(other.hashes_);
       hash_offset_ = other.hash_offset_;
-      other.size_ = 0;
       other.hash_offset_ = kNoHashColumn;
     }
     return *this;
   }
 
   size_t capacity() const { return capacity_; }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  bool full() const { return size_ >= capacity_; }
+  size_t size() const { return tuples_.size(); }
+  bool empty() const { return tuples_.empty(); }
+  bool full() const { return tuples_.size() >= capacity_; }
 
   void Append(const Tuple& tuple, int64_t ts) {
-    if (size_ < tuples_.size()) {
-      tuples_[size_] = tuple;  // copy-assign reuses slot capacity
-    } else {
-      tuples_.push_back(tuple);
-    }
-    ++size_;
+    tuples_.push_back(tuple);
     timestamps_.push_back(ts);
   }
   void Append(Tuple&& tuple, int64_t ts) {
-    if (size_ < tuples_.size()) {
-      tuples_[size_] = std::move(tuple);
-    } else {
-      tuples_.push_back(std::move(tuple));
-    }
-    ++size_;
-    timestamps_.push_back(ts);
-  }
-
-  /// \brief Appends a non-owning view row without constructing a
-  /// temporary Tuple: a warm slot is rebound in place (pooled
-  /// value-vector capacity retained), a cold slot is emplaced as a
-  /// view. Same contract as Append of a view tuple — `data` must stay
-  /// valid until the batch is consumed.
-  void AppendView(const Value* data, size_t width, int64_t ts) {
-    if (size_ < tuples_.size()) {
-      tuples_[size_].BindExternal(data, width);
-    } else {
-      tuples_.emplace_back(Tuple::ExternalRef{}, data, width);
-    }
-    ++size_;
+    tuples_.push_back(std::move(tuple));
     timestamps_.push_back(ts);
   }
 
   const Tuple& tuple(size_t i) const { return tuples_[i]; }
+  /// \brief Appends a copy of every row to *out (one reference add per
+  /// run of rows sharing a block; see Tuple::AppendCopies).
+  void CopyRowsTo(std::vector<Tuple>* out) const {
+    Tuple::AppendCopies(tuples_, out);
+  }
   int64_t timestamp(size_t i) const { return timestamps_[i]; }
 
   /// \brief Timestamp of the first row (queue-merge ordering key).
@@ -142,12 +116,11 @@ class TupleBatch {
     return *std::max_element(timestamps_.begin(), timestamps_.end());
   }
 
-  /// \brief Empties the batch for reuse; capacity, vector storage, AND
-  /// the constructed tuple slots are retained (see the pooling note in
-  /// the file comment), so a recycled batch allocates nothing
-  /// steady-state.
+  /// \brief Empties the batch for reuse: the rows (and their block
+  /// references) are dropped, vector capacities are retained, so a
+  /// recycled batch allocates nothing steady-state.
   void Clear() {
-    size_ = 0;
+    Tuple::ClearRows(&tuples_);
     timestamps_.clear();
     selection_.clear();
     hashes_.clear();
@@ -157,7 +130,7 @@ class TupleBatch {
   /// \brief Selects every row (identity selection). Call before
   /// filtering; ProbeBatch and the operators iterate the selection.
   void SelectAll() {
-    selection_.resize(size_);
+    selection_.resize(tuples_.size());
     std::iota(selection_.begin(), selection_.end(), 0u);
   }
 
@@ -171,9 +144,8 @@ class TupleBatch {
   /// column; it stays valid until the next Append/Clear.
   const uint64_t* BuildHashColumn(size_t offset) {
     hashes_.clear();
-    hashes_.reserve(size_);
-    for (size_t i = 0; i < size_; ++i) {
-      const Tuple& t = tuples_[i];
+    hashes_.reserve(tuples_.size());
+    for (const Tuple& t : tuples_) {
       PUNCTSAFE_CHECK(offset < t.size()) << "hash column offset out of range";
       hashes_.push_back(static_cast<uint64_t>(t.HashAt(offset)));
     }
@@ -191,7 +163,6 @@ class TupleBatch {
   static constexpr size_t kNoHashColumn = static_cast<size_t>(-1);
 
   size_t capacity_;
-  size_t size_ = 0;  // logical rows; tuples_ may hold more (pooled)
   std::vector<Tuple> tuples_;
   std::vector<int64_t> timestamps_;
   std::vector<uint32_t> selection_;

@@ -81,13 +81,15 @@ size_t TupleStore::AppendRowPayload(const Tuple& tuple,
     handles_.emplace_back(Tuple::ExternalRef{}, values, n);
     slot_block_.push_back(alloc.block);
   } else {
-    // Heap mode: the handle owns a fresh value vector (one allocation)
-    // plus one per string that exceeds the inline buffer.
+    // Heap mode: the handle owns a fresh block (one allocation) plus
+    // one per string that exceeds the inline buffer. A deep copy, not a
+    // shared handle, so a stored row never pins the rest of a result
+    // batch's staging block.
     *heap_allocs += 1;
     for (const Value& v : tuple.values()) {
       if (v.ExternalBytes() > 0) *heap_allocs += 1;
     }
-    handles_.push_back(tuple);
+    handles_.push_back(tuple.DeepCopy());
   }
   return slot;
 }

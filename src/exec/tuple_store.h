@@ -121,6 +121,15 @@ class TupleStore {
   size_t live_position(size_t slot) const { return pos_in_live_[slot]; }
 
   size_t live_count() const { return live_count_; }
+  /// \brief Bytes of per-slot bookkeeping held: the handle, live bit,
+  /// live position and (arena mode) block id of every slot ever handed
+  /// out. Slot ids never recycle, so this grows with total inserts, not
+  /// live state (payloads are released; this is not).
+  size_t SlotBookkeepingBytes() const {
+    return handles_.size() * sizeof(Tuple) + (live_.size() + 7) / 8 +
+           pos_in_live_.size() * sizeof(size_t) +
+           slot_block_.size() * sizeof(uint32_t);
+  }
   const StateMetrics& metrics() const { return metrics_; }
   bool arena_enabled() const { return arena_ != nullptr; }
 
@@ -154,6 +163,9 @@ class TupleStore {
   /// store's metrics (the arrival input's store carries the expansion
   /// cost of its pushes; see StateMetrics::expand_allocs).
   void CountExpandAllocs(uint64_t n) const { metrics_.OnExpandAllocs(n); }
+  /// \brief Charges one result staging block (see
+  /// StateMetrics::result_blocks) to this arrival input's store.
+  void CountResultBlock() const { metrics_.OnResultBlock(); }
 
   /// \brief Borrows the owning operator's observation point (nullable)
   /// so epoch boundaries surface as trace events. Deliberately NOT

@@ -131,6 +131,9 @@ void AppendOperator(std::string* out, const OperatorObsEntry& e,
   AppendKv(out, "live", e.state.live, &f);
   AppendKv(out, "high_water", e.state.high_water, &f);
   AppendKv(out, "arena_bytes_live", e.state.arena_bytes_live, &f);
+  // Result staging blocks allocated: at most one per emitted batch
+  // while a consumer keeps results, flat once warm when none does.
+  AppendKv(out, "result_blocks", e.state.result_blocks, &f);
   // Operator-level counters.
   AppendKv(out, "results_emitted", e.op_metrics.results_emitted, &f);
   AppendKv(out, "puncts_received", e.op_metrics.punctuations_received,

@@ -345,8 +345,7 @@ Result<Tuple> ParseTupleTokens(const Schema& schema,
                                           schema.num_attributes(),
                                           " values, got ", n));
   }
-  std::vector<Value> values;
-  values.reserve(n);
+  TupleBuilder tuple(n);
   for (size_t i = 0; i < n; ++i) {
     auto v = ParseValueToken(tokens[begin + i], schema.attribute(i).type);
     if (!v.ok()) {
@@ -354,9 +353,9 @@ Result<Tuple> ParseTupleTokens(const Schema& schema,
                                             schema.attribute(i).name,
                                             "': ", v.status().message()));
     }
-    values.push_back(std::move(*v));
+    tuple.Append(std::move(*v));
   }
-  return Tuple(std::move(values));
+  return tuple.Finish();
 }
 
 Result<Punctuation> ParsePunctuationTokens(

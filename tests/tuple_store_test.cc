@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <new>
+
 #include <set>
 #include <string>
 #include <string_view>
@@ -339,12 +341,57 @@ TEST(TupleStoreTest, HeapModeCountsPerInsertAllocs) {
   EXPECT_FALSE(store.arena_enabled());
   store.Insert(Tuple({Value(1), Value(2)}));
   StateMetricsSnapshot snap = store.metrics().Snapshot();
-  EXPECT_EQ(snap.insert_allocs, 1u);  // the value vector
+  EXPECT_EQ(snap.insert_allocs, 1u);  // the value block
   store.Insert(Tuple({Value(LongKey(0)), Value(LongKey(1))}));
   snap = store.metrics().Snapshot();
-  EXPECT_EQ(snap.insert_allocs, 4u);  // vector + two long strings
+  EXPECT_EQ(snap.insert_allocs, 4u);  // block + two long strings
   EXPECT_EQ(snap.arena_bytes_reserved, 0u);
   EXPECT_EQ(snap.arena_blocks_reclaimed, 0u);
+}
+
+TEST(TupleStoreTest, HeapModeRowsDoNotPinTheirSourceBlock) {
+  // A result row shares a staging block with the rest of its batch; a
+  // heap-mode store keeps its own copy so the batch's block can go.
+  // Two rows staged into one block, the way MJoinOperator stages a
+  // result batch.
+  ValueBlock* block = ValueBlock::Allocate(4);
+  for (int i = 0; i < 4; ++i) new (block->slots() + i) Value(i + 1);
+  block->SetCount(4);
+  block->Ref();
+  Tuple first(Tuple::AdoptRef{}, block, block->values(), 2);
+  Tuple second(Tuple::AdoptRef{}, block, block->values() + 2, 2);
+
+  TupleStore store({0}, TupleStoreOptions{.arena = false});
+  const size_t slot = store.Insert(second);
+  EXPECT_EQ(block->refs(), 2u);  // first and second only
+  EXPECT_NE(store.At(slot).block(), block);
+  EXPECT_EQ(store.At(slot).block()->count(), 2u);
+  EXPECT_EQ(store.At(slot), Tuple({Value(3), Value(4)}));
+}
+
+TEST(TupleStoreTest, SlotBookkeepingBytesPerSlot) {
+  // Slots never recycle: after 1,000 insert-then-purge rounds the store
+  // holds no tuple but still 1,000 slots of bookkeeping. Pinned per
+  // slot: 24-byte handle + 8-byte live position + 4-byte arena block
+  // id (none in heap mode) + 1 live bit.
+  TupleStore store({0});
+  ASSERT_TRUE(store.arena_enabled());
+  constexpr size_t kSlots = 1000;
+  for (size_t i = 0; i < kSlots; ++i) {
+    store.Remove(store.Insert(Tuple({Value(static_cast<int64_t>(i))})));
+    store.AdvanceEpoch();
+  }
+  EXPECT_EQ(store.live_count(), 0u);
+  EXPECT_EQ(store.slot_end(), kSlots);
+  EXPECT_EQ(sizeof(Tuple), 24u);
+  EXPECT_EQ(store.SlotBookkeepingBytes(), kSlots * 36 + kSlots / 8);
+
+  TupleStore heap({0}, TupleStoreOptions{.arena = false});
+  for (size_t i = 0; i < kSlots; ++i) {
+    heap.Remove(heap.Insert(Tuple({Value(static_cast<int64_t>(i))})));
+    heap.AdvanceEpoch();
+  }
+  EXPECT_EQ(heap.SlotBookkeepingBytes(), kSlots * 32 + kSlots / 8);
 }
 
 TEST(TupleStoreTest, ArenaOffOnParity) {

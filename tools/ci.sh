@@ -98,6 +98,15 @@ run_config() {
     echo "=== [${name}] server end-to-end (explicit) ==="
     run_explicit "${dir}/tests/server_e2e_test"
   fi
+  # The shared result-block oracle: under ASan, taken result rows read
+  # after further pushes, purges, arena epoch reclamation and executor
+  # destruction, and copied arena views read after their block is
+  # reclaimed; under TSan, a 2-shard executor's results are read and
+  # dropped on the caller's thread while workers re-stage their blocks.
+  if [ "${name}" = "asan" ] || [ "${name}" = "tsan" ]; then
+    echo "=== [${name}] result-block lifetime oracle (explicit) ==="
+    run_explicit "${dir}/tests/result_block_test"
+  fi
   if [ "${name}" = "scalar" ]; then
     echo "=== [${name}] simd branch compile cross-check ==="
     "${ROOT}/tools/simd_crosscheck.sh"

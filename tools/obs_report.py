@@ -82,6 +82,7 @@ def render_snapshot(snap, out):
         ("live", lambda e: fmt_count(e.get("live", 0))),
         ("hw", lambda e: fmt_count(e.get("high_water", 0))),
         ("emit", lambda e: fmt_count(e.get("results_emitted", 0))),
+        ("rblk", lambda e: fmt_count(e.get("result_blocks", 0))),
         ("puncts", lambda e: fmt_count(e.get("puncts_received", 0))),
         ("routed", lambda e: fmt_count(e.get("routed_tuples", 0))),
         ("stalls", lambda e: fmt_count(e.get("queue_stalls", 0))),
